@@ -495,6 +495,19 @@ impl Analysis {
                 h1 = polished;
             }
         }
+        if h1.lnl < h0.lnl {
+            // The re-polish can still stop a hair below H0. H0's point
+            // (ω2 = 1) is feasible in H1 and evaluates there to exactly
+            // H0's lnL, so it is the better H1 fit; the cost fields keep
+            // describing the H1 work that was done.
+            h1 = Fit {
+                hypothesis: Hypothesis::H1,
+                lnl: h0.lnl,
+                model: h0.model,
+                branch_lengths: h0.branch_lengths.clone(),
+                ..h1
+            };
+        }
         let lrt = lrt_pvalue(h0.lnl, h1.lnl);
 
         let value = site_class_log_likelihoods(

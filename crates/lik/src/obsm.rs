@@ -12,6 +12,14 @@ pub(crate) struct LikMetrics {
     pub evaluations: Arc<Counter>,
     /// `lik.pruning.units` — (site class × pattern block) units pruned.
     pub units: Arc<Counter>,
+    /// `lik.eigen.decompositions` — rate matrices built and decomposed
+    /// (or fetched from the optional `EigenCache`); a slot that shares
+    /// another slot's ω or reuses the previous evaluation's (κ, ω) costs
+    /// none.
+    pub decompositions: Arc<Counter>,
+    /// `lik.expm.ops_built` — per-(branch × ω) transition operators
+    /// reconstructed.
+    pub ops_built: Arc<Counter>,
     /// `lik.phase.eigen_seconds` — §III-A steps 1–2 per evaluation.
     pub eigen: Arc<Histogram>,
     /// `lik.phase.expm_seconds` — transition-operator reconstruction.
@@ -32,7 +40,7 @@ pub(crate) struct LikMetrics {
     /// `lik.reuse.evaluations` — evaluations served by the reuse engine.
     pub reuse_evaluations: Arc<Counter>,
     /// `lik.reuse.full_invalidations` — reuse evaluations that had to
-    /// recompute everything (globals changed, first call, or shape
+    /// recompute every CPV (every operator rebuilt, first call, or shape
     /// change).
     pub reuse_full_invalidations: Arc<Counter>,
     /// `lik.reuse.dirty_branches` — branches whose length bits changed
@@ -42,7 +50,7 @@ pub(crate) struct LikMetrics {
     /// cross-evaluation cache.
     pub reuse_units_reused: Arc<Counter>,
     /// `lik.reuse.units_recomputed` — internal-node CPV blocks recomputed
-    /// because they sat on a dirty root-path.
+    /// because an operator below them was rebuilt.
     pub reuse_units_recomputed: Arc<Counter>,
     /// `lik.reuse.hint_violations` — optimizer deltas that failed to cover
     /// an observed parameter change (the bitwise self-diff caught it; the
@@ -56,6 +64,8 @@ pub(crate) fn metrics() -> &'static LikMetrics {
     M.get_or_init(|| LikMetrics {
         evaluations: slim_obs::counter("lik.evaluations"),
         units: slim_obs::counter("lik.pruning.units"),
+        decompositions: slim_obs::counter("lik.eigen.decompositions"),
+        ops_built: slim_obs::counter("lik.expm.ops_built"),
         eigen: slim_obs::histogram("lik.phase.eigen_seconds"),
         expm: slim_obs::histogram("lik.phase.expm_seconds"),
         pruning: slim_obs::histogram("lik.phase.pruning_seconds"),

@@ -3,9 +3,10 @@
 //!
 //! One branch-site likelihood evaluation runs as four phases:
 //!
-//! 1. **eigen** — the three ω rate matrices are built and decomposed, each
-//!    independent, fanned one-per-thread;
-//! 2. **expm** — one transition operator per (branch, needed ω) pair, all
+//! 1. **eigen** — the unscaled rate matrix of each distinct ω is built and
+//!    decomposed, each independent, fanned one-per-thread;
+//! 2. **expm** — one transition operator per (branch, needed ω) pair at
+//!    the branch length divided by the shared rate scale, all
 //!    independent, chunked across threads;
 //! 3. **pruning** — units of (site class × pattern block) stream through a
 //!    crossbeam channel to workers that each own a
@@ -115,18 +116,17 @@ fn evaluate_inner(
     eval_span.arg_u64("patterns", n_pat as u64);
 
     // --- Phase 1: rate matrices + eigendecompositions, one per distinct
-    // ω. All classes share one rate scale (the background mixture
-    // average), so ω2 > 1 genuinely accelerates foreground evolution —
-    // see BranchSiteModel::shared_scale. The three decompositions are
+    // ω. The matrices are unscaled: all classes share one rate scale (the
+    // background mixture average, so ω2 > 1 genuinely accelerates
+    // foreground evolution — see BranchSiteModel::shared_scale), and
+    // exp(Q·t/s) is folded into the branch length instead, so a
+    // decomposition depends on (κ, ω, π) only. The decompositions are
     // independent; with threads they run one-per-spawn.
+    let scale = checked_scale(problem, model)?;
     // check: allow(det-wallclock) feeds the obs phase-timing histogram only
     let start = Instant::now();
     let phase_span = slim_trace::span("lik.eigen", "lik");
-    let omegas = model.omegas();
-    let (syn_flux, nonsyn_flux) =
-        slim_model::codon_model::rate_components(&problem.code, model.kappa, &problem.pi);
-    let scale = model.shared_scale(syn_flux, nonsyn_flux);
-    let eigensystems = build_eigensystems(problem, config, model.kappa, &omegas, scale, threads)?;
+    let eigensystems = build_eigensystems(problem, config, model, None, threads)?;
     drop(phase_span);
     let elapsed = start.elapsed();
     obs.eigen.observe(elapsed);
@@ -135,55 +135,16 @@ fn evaluate_inner(
     }
 
     // --- Phase 2: transition operators per (branch, needed ω). ---
-    // Background branches need ω0 and ω1; the foreground branch also ω2.
-    // Each reconstruction is an independent dsyrk/gemm; threads take
-    // contiguous chunks of the item list (ownership via chunks_mut — no
-    // locks, no unsafe).
     // check: allow(det-wallclock) feeds the obs phase-timing histogram only
     let start = Instant::now();
     let phase_span = slim_trace::span("lik.expm", "lik");
     let n_nodes = problem.children.len();
-    let mut items: Vec<(usize, usize, f64)> = Vec::new();
-    for node in 0..n_nodes {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        let needed: &[usize] = if problem.is_foreground[node] {
-            &[0, 1, 2]
-        } else {
-            &[0, 1]
-        };
-        for &w in needed {
-            items.push((node, w, t));
-        }
-    }
-    let mut built: Vec<Option<TransOp>> = (0..items.len()).map(|_| None).collect();
-    let expm_threads = threads.min(items.len()).max(1);
-    if expm_threads >= 2 {
-        let per = items.len().div_ceil(expm_threads);
-        let eigensystems = &eigensystems;
-        crossbeam::thread::scope(|scope| {
-            for (chunk, out) in items.chunks(per).zip(built.chunks_mut(per)) {
-                scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || {
-                        for (&(_, w, t), slot) in chunk.iter().zip(out.iter_mut()) {
-                            *slot = Some(build_op(&eigensystems[w], config, t));
-                        }
-                    });
-                });
-            }
-        })
-        .expect("expm scope");
-    } else {
-        for (&(_, w, t), slot) in items.iter().zip(built.iter_mut()) {
-            *slot = Some(build_op(&eigensystems[w], config, t));
-        }
-    }
+    let items = op_items(problem, branch_lengths, scale);
+    let built = build_ops(config, &eigensystems, &items, threads);
     let mut ops: Vec<[Option<TransOp>; N_OMEGA]> =
         (0..n_nodes).map(|_| [None, None, None]).collect();
     for (&(node, w, _), op) in items.iter().zip(built) {
-        ops[node][w] = op;
+        ops[node][w] = Some(op);
     }
     drop(phase_span);
     let elapsed = start.elapsed();
@@ -341,27 +302,94 @@ fn evaluate_inner(
     })
 }
 
-/// Phase 1 as a reusable step: build and decompose the three ω rate
-/// matrices (one-per-spawn when `threads >= 2`). Shared by the stateless
-/// engine here and by [`crate::reuse::ReuseEvaluator`] when globals
-/// change.
+/// The shared branch-site rate scale of `model` (see
+/// [`BranchSiteModel::shared_scale`]), by which every branch length is
+/// divided before reconstruction.
+///
+/// # Errors
+/// [`LinalgError::Domain`] when the scale is non-finite or not positive,
+/// κ is not finite and positive, or an ω is non-finite or negative — the
+/// inputs `build_rate_matrix` would panic on. NaN parameters from an
+/// optimizer probe land here, and the fit objective maps the error to +∞.
+pub(crate) fn checked_scale(
+    problem: &LikelihoodProblem,
+    model: &BranchSiteModel,
+) -> Result<f64, LinalgError> {
+    let (syn_flux, nonsyn_flux) =
+        slim_model::codon_model::rate_components(&problem.code, model.kappa, &problem.pi);
+    let scale = model.shared_scale(syn_flux, nonsyn_flux);
+    let rates_ok = model.kappa.is_finite()
+        && model.kappa > 0.0
+        && model.omegas().iter().all(|w| w.is_finite() && *w >= 0.0);
+    if scale.is_finite() && scale > 0.0 && rates_ok {
+        Ok(scale)
+    } else {
+        Err(LinalgError::Domain {
+            op: "branch-site rate scale",
+            detail: format!("scale {scale} at {model:?}"),
+        })
+    }
+}
+
+/// Phase 1 as a reusable step: one eigensystem per ω slot of `model`,
+/// decomposing each distinct (κ, ω) once (one-per-spawn when
+/// `threads >= 2`). A slot whose ω bits equal an earlier slot's shares
+/// its decomposition (H0's ω2 = ω1 = 1), and a slot whose (κ, ω) bits
+/// match a slot of `prev` — the previous evaluation's model and systems —
+/// reuses that decomposition: a decomposition is a deterministic function
+/// of (κ, ω, π), so either way the bits are those of a fresh one. The
+/// rest of `prev` is released before anything is decomposed.
 pub(crate) fn build_eigensystems(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    kappa: f64,
-    omegas: &[f64],
-    scale: f64,
+    model: &BranchSiteModel,
+    prev: Option<(BranchSiteModel, Vec<Arc<EigenSystem>>)>,
     threads: usize,
 ) -> Result<Vec<Arc<EigenSystem>>, LinalgError> {
-    let simd_mode = config.simd;
-    if threads >= 2 {
+    /// Where a slot's system comes from.
+    enum Source {
+        /// An earlier slot of this evaluation with the same ω bits.
+        Slot(usize),
+        /// The previous evaluation's system for the same (κ, ω) bits.
+        Prev(Arc<EigenSystem>),
+        /// The `i`-th fresh decomposition.
+        Fresh(usize),
+    }
+    let kappa = model.kappa;
+    let omegas = model.omegas();
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    let prev = prev.filter(|(m, _)| same(m.kappa, kappa));
+    let reused = |omega: f64| {
+        let (m, systems) = prev.as_ref()?;
+        let k = m.omegas().iter().position(|&o| same(o, omega))?;
+        Some(systems[k].clone())
+    };
+    let mut todo: Vec<f64> = Vec::new();
+    let sources: Vec<Source> = omegas
+        .iter()
+        .enumerate()
+        .map(|(w, &omega)| {
+            if let Some(j) = omegas[..w].iter().position(|&o| same(o, omega)) {
+                Source::Slot(j)
+            } else if let Some(es) = reused(omega) {
+                Source::Prev(es)
+            } else {
+                todo.push(omega);
+                Source::Fresh(todo.len() - 1)
+            }
+        })
+        .collect();
+    drop(prev);
+    crate::obsm::metrics().decompositions.add(todo.len() as u64);
+    let fresh: Vec<Arc<EigenSystem>> = if threads >= 2 && todo.len() >= 2 {
+        let simd_mode = config.simd;
         let mut slots: Vec<Option<Result<Arc<EigenSystem>, LinalgError>>> =
-            omegas.iter().map(|_| None).collect();
+            todo.iter().map(|_| None).collect();
         crossbeam::thread::scope(|scope| {
-            for (slot, &omega) in slots.iter_mut().zip(omegas.iter()) {
+            for (slot, &omega) in slots.iter_mut().zip(todo.iter()) {
                 scope.spawn(move |_| {
                     simd::with_forced(simd_mode, || {
-                        *slot = Some(eigen_for(problem, config, kappa, omega, scale));
+                        *slot = Some(eigen_for(problem, config, kappa, omega));
                     });
                     // Scoped thread: flush cache-probe instants before
                     // the scope unblocks (see slim_trace::flush_thread).
@@ -375,13 +403,84 @@ pub(crate) fn build_eigensystems(
         slots
             .into_iter()
             .map(|s| s.expect("eigen thread filled its slot"))
-            .collect()
+            .collect::<Result<_, _>>()?
     } else {
-        omegas
-            .iter()
-            .map(|&omega| eigen_for(problem, config, kappa, omega, scale))
-            .collect()
+        todo.iter()
+            .map(|&omega| eigen_for(problem, config, kappa, omega))
+            .collect::<Result<_, _>>()?
+    };
+    let mut systems: Vec<Arc<EigenSystem>> = Vec::with_capacity(omegas.len());
+    for source in sources {
+        let es = match source {
+            Source::Slot(j) => systems[j].clone(),
+            Source::Prev(es) => es,
+            Source::Fresh(i) => fresh[i].clone(),
+        };
+        systems.push(es);
     }
+    Ok(systems)
+}
+
+/// Every (node, needed ω slot, reconstruction time) of one evaluation:
+/// background branches need ω0 and ω1, the foreground branch also ω2,
+/// and each reconstructs at its branch length divided by the shared
+/// rate `scale`.
+pub(crate) fn op_items(
+    problem: &LikelihoodProblem,
+    branch_lengths: &[f64],
+    scale: f64,
+) -> Vec<(usize, usize, f64)> {
+    let mut items = Vec::new();
+    for node in 0..problem.children.len() {
+        let Some(bi) = problem.branch_index[node] else {
+            continue;
+        };
+        let t = branch_lengths[bi] / scale;
+        let needed: &[usize] = if problem.is_foreground[node] {
+            &[0, 1, 2]
+        } else {
+            &[0, 1]
+        };
+        items.extend(needed.iter().map(|&w| (node, w, t)));
+    }
+    items
+}
+
+/// Phase 2 as a reusable step: reconstruct one operator per
+/// `(node, ω slot, t)` item. Each reconstruction is an independent
+/// dsyrk/gemm; threads take contiguous chunks of the item list
+/// (ownership via chunks_mut — no locks, no unsafe).
+pub(crate) fn build_ops(
+    config: &EngineConfig,
+    eigensystems: &[Arc<EigenSystem>],
+    items: &[(usize, usize, f64)],
+    threads: usize,
+) -> Vec<TransOp> {
+    crate::obsm::metrics().ops_built.add(items.len() as u64);
+    let simd_mode = config.simd;
+    let expm_threads = threads.min(items.len()).max(1);
+    if expm_threads < 2 {
+        return items
+            .iter()
+            .map(|&(_, w, t)| build_op(&eigensystems[w], config, t))
+            .collect();
+    }
+    let per = items.len().div_ceil(expm_threads);
+    let mut parts: Vec<Vec<TransOp>> = items.chunks(per).map(|_| Vec::new()).collect();
+    crossbeam::thread::scope(|scope| {
+        for (chunk, part) in items.chunks(per).zip(parts.iter_mut()) {
+            scope.spawn(move |_| {
+                simd::with_forced(simd_mode, || {
+                    *part = chunk
+                        .iter()
+                        .map(|&(_, w, t)| build_op(&eigensystems[w], config, t))
+                        .collect();
+                });
+            });
+        }
+    })
+    .expect("expm scope");
+    parts.into_iter().flatten().collect()
 }
 
 /// Phase 4 as a reusable step: per-pattern class mixing (log-sum-exp) and
@@ -435,22 +534,15 @@ pub(crate) fn mix_and_reduce(
     (lnl, per_pattern)
 }
 
-/// Build (or fetch from the cross-evaluation cache) the eigensystem for
-/// one ω.
+/// Build (or fetch from the cross-evaluation cache) the eigensystem of
+/// the unscaled rate matrix for one ω.
 fn eigen_for(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
     kappa: f64,
     omega: f64,
-    scale: f64,
 ) -> Result<Arc<EigenSystem>, LinalgError> {
-    let rm = build_rate_matrix(
-        &problem.code,
-        kappa,
-        omega,
-        &problem.pi,
-        ScalePolicy::External(scale),
-    );
+    let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, ScalePolicy::None);
     match &config.eigen_cache {
         Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen),
         None => Ok(Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?)),

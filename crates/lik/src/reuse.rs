@@ -8,28 +8,37 @@
 //! previous evaluation's intermediates and recomputes only what the
 //! parameter delta actually touches:
 //!
-//! * a changed **branch length** invalidates that branch's `P(t)`
-//!   operators and the CPVs of the nodes on the path from the branch's
-//!   parent to the root — everything else is served from cache;
-//! * a changed **global** (κ, ω0, ω2, p0, p1) invalidates the
-//!   eigendecompositions and therefore every CPV (operators whose (κ, ω,
-//!   scale) survive via the cross-evaluation [`slim_expm::EigenCache`]
-//!   still probe-hit through [`slim_expm::EigenSystem::id`]).
+//! * an **eigendecomposition** is kept per ω slot while that slot's
+//!   (κ, ω) bits are unchanged — the rate matrices are unscaled, and the
+//!   shared rate scale is folded into each operator's time `t / scale`;
+//! * a **transition operator** is rebuilt iff its [`PtKey`] (decomposition
+//!   identity, `t / scale` bits) moved;
+//! * a **CPV** of (site class, node) is recomputed iff an operator that
+//!   class applies below the node was rebuilt.
+//!
+//! So a branch-length probe recomputes that branch's operators and every
+//! class's CPVs on the path to the root; an ω2 probe rebuilds one
+//! operator (the foreground branch's ω2) and recomputes only classes
+//! 2a/2b on the foreground-to-root path; κ, ω0, p0 and p1 probes move the
+//! scale (κ also every decomposition), so every operator and CPV is
+//! rebuilt, but ω0, p0 and p1 keep the untouched decompositions.
 //!
 //! ## The invalidation contract
 //!
 //! The optimizer's `ParamDelta` (crate `slim-opt`) is a *hint*: an
 //! upper bound on which coordinates changed. The evaluator does not trust
-//! it — it diffs the incoming parameters **bitwise** against the previous
-//! evaluation's and derives the dirty set from that ground truth. The hint
-//! is only cross-checked; a hint that failed to cover an observed change
-//! increments `lik.reuse.hint_violations` (and panics under the `sanitize`
-//! feature) but cannot produce a wrong likelihood.
+//! it — decompositions and operators are keyed on the exact bits of their
+//! inputs and the CPV dirty set follows the operators actually rebuilt.
+//! The hint is only cross-checked against a bitwise parameter diff; a
+//! hint that failed to cover an observed change increments
+//! `lik.reuse.hint_violations` (and panics under the `sanitize` feature)
+//! but cannot produce a wrong likelihood.
 //!
 //! ## Why reuse is bit-identical
 //!
 //! Every cached object is keyed on the exact bits of its inputs
-//! ([`PtKey`] for operators; the bitwise parameter diff for CPVs), and
+//! ((κ, ω) for decompositions, [`PtKey`] for operators, the operators
+//! below a node for CPVs), and
 //! recomputation runs the byte-same kernels on the byte-same inputs as the
 //! stateless engine (see [`crate::pruning::prune_block_cached`] for the
 //! per-unit argument, including the rescale bookkeeping). The final
@@ -38,7 +47,9 @@
 //! replays optimizer-like update sequences to enforce.
 
 use crate::engine::EngineConfig;
-use crate::par::{build_eigensystems, build_op, mix_and_reduce, PhaseTiming};
+use crate::par::{
+    build_eigensystems, build_ops, checked_scale, mix_and_reduce, op_items, PhaseTiming,
+};
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{
     prune_block_cached, LikelihoodValue, OpSource, ReuseScratch, TransOp, UnitCache, N_OMEGA,
@@ -71,7 +82,9 @@ struct EvalState {
     model: BranchSiteModel,
     /// Branch lengths the caches were computed under (compared bitwise).
     branch_lengths: Vec<f64>,
-    /// One eigendecomposition per ω class.
+    /// The shared rate scale every operator's time was divided by.
+    scale: f64,
+    /// One eigendecomposition per ω slot (equal ω slots share one).
     eigensystems: Vec<Arc<EigenSystem>>,
     /// Per-(node × ω) transition operators, validity-keyed on
     /// (decomposition id, branch-length bits).
@@ -106,8 +119,6 @@ impl OpSource for CachedOps<'_> {
 pub struct ReuseEvaluator<'p> {
     problem: &'p LikelihoodProblem,
     config: EngineConfig,
-    /// Branch index → the node *below* that branch.
-    branch_node: Vec<usize>,
     /// Number of internal (non-leaf) nodes — the per-unit CPV count.
     n_internal: usize,
     state: Option<EvalState>,
@@ -119,7 +130,6 @@ impl<'p> ReuseEvaluator<'p> {
     /// A fresh evaluator for `problem` under `config`; the first
     /// [`evaluate`](ReuseEvaluator::evaluate) computes everything.
     pub fn new(problem: &'p LikelihoodProblem, config: EngineConfig) -> ReuseEvaluator<'p> {
-        let branch_node = problem.branch_nodes();
         let n_internal = problem
             .children
             .iter()
@@ -128,7 +138,6 @@ impl<'p> ReuseEvaluator<'p> {
         ReuseEvaluator {
             problem,
             config,
-            branch_node,
             n_internal,
             state: None,
             #[cfg(feature = "sanitize")]
@@ -187,8 +196,12 @@ impl<'p> ReuseEvaluator<'p> {
         eval_span.arg_u64("threads", threads as u64);
         eval_span.arg_u64("patterns", n_pat as u64);
 
+        // The shared rate scale, validated before the previous state is
+        // touched: an invalid point returns an error and keeps it intact.
+        let scale = checked_scale(problem, model)?;
+
         // --- Bitwise diff against the previous evaluation: the ground
-        // truth the dirty set is derived from. ---
+        // truth the hint is checked against. ---
         let prev = self.state.take();
         let (globals_changed, dirty_branches): (bool, Vec<usize>) = match &prev {
             None => (true, Vec::new()),
@@ -215,7 +228,7 @@ impl<'p> ReuseEvaluator<'p> {
 
         // Cross-check the optimizer's hint against the observed diff. A
         // violation is an optimizer bug, not a correctness problem here —
-        // the bitwise diff above is what drives invalidation.
+        // invalidation follows the operators actually rebuilt below.
         if prev.is_some() {
             let violated = match hint {
                 ReuseHint::Full => false,
@@ -250,36 +263,27 @@ impl<'p> ReuseEvaluator<'p> {
             }
         }
 
-        // --- Phase 1: eigendecompositions — reused wholesale unless a
-        // global changed. ---
+        // Every operator is keyed on its decomposition and on t / scale,
+        // so when κ or the scale moves every operator is rebuilt (bar a
+        // rounding tie in t / scale) and no CPV is worth keeping: release
+        // the CPVs (and the stale value) before decomposing, to keep the
+        // peak footprint at one set. Released caches count as fresh below.
+        let (prev_es, mut ops, mut units, prev_shape) = match prev {
+            Some(s) => {
+                let moved = s.model.kappa.to_bits() != model.kappa.to_bits()
+                    || s.scale.to_bits() != scale.to_bits();
+                let units = if moved { Vec::new() } else { s.units };
+                (Some((s.model, s.eigensystems)), s.ops, units, s.unit_shape)
+            }
+            None => (None, PtCache::new(0), Vec::new(), Vec::new()),
+        };
+
+        // --- Phase 1: eigendecompositions — only the ω slots whose
+        // (κ, ω) bits moved are decomposed again. ---
         // check: allow(det-wallclock) feeds the obs phase-timing histogram only
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.eigen", "lik");
-        let omegas = model.omegas();
-        let (mut ops, mut units, prev_shape, eigensystems) = match prev {
-            Some(s) if !globals_changed => (s.ops, s.units, s.unit_shape, s.eigensystems),
-            other => {
-                // First call or globals changed: new decompositions, and
-                // no CPV survives (the mixture itself moved). The operator
-                // cache persists — its (decomposition id, t) keys reject
-                // anything stale, while ops whose (κ, ω, scale) recur
-                // through the shared EigenCache keep their decomposition
-                // identity and still hit.
-                let ops = match other {
-                    Some(s) => s.ops,
-                    None => PtCache::new(0),
-                };
-                let (syn_flux, nonsyn_flux) = slim_model::codon_model::rate_components(
-                    &problem.code,
-                    model.kappa,
-                    &problem.pi,
-                );
-                let scale = model.shared_scale(syn_flux, nonsyn_flux);
-                let es =
-                    build_eigensystems(problem, &config, model.kappa, &omegas, scale, threads)?;
-                (ops, Vec::new(), Vec::new(), es)
-            }
-        };
+        let eigensystems = build_eigensystems(problem, &config, model, prev_es, threads)?;
         drop(phase_span);
         let elapsed = start.elapsed();
         obs.eigen.observe(elapsed);
@@ -294,55 +298,15 @@ impl<'p> ReuseEvaluator<'p> {
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.expm", "lik");
         ops.resize(n_nodes * N_OMEGA);
-        let mut stale: Vec<(usize, usize, f64)> = Vec::new();
-        for node in 0..n_nodes {
-            let Some(bi) = problem.branch_index[node] else {
-                continue;
-            };
-            let t = branch_lengths[bi];
-            let needed: &[usize] = if problem.is_foreground[node] {
-                &[0, 1, 2]
-            } else {
-                &[0, 1]
-            };
-            for &w in needed {
-                let key = PtKey::new(&eigensystems[w], t);
-                if !ops.probe(node * N_OMEGA + w, key) {
-                    stale.push((node, w, t));
-                }
-            }
-        }
-        let mut built: Vec<Option<TransOp>> = (0..stale.len()).map(|_| None).collect();
-        let expm_threads = threads.min(stale.len()).max(1);
-        if expm_threads >= 2 {
-            let per = stale.len().div_ceil(expm_threads);
-            let eigensystems = &eigensystems;
-            let config_ref = &config;
-            crossbeam::thread::scope(|scope| {
-                for (chunk, out) in stale.chunks(per).zip(built.chunks_mut(per)) {
-                    scope.spawn(move |_| {
-                        simd::with_forced(simd_mode, || {
-                            for (&(_, w, t), slot) in chunk.iter().zip(out.iter_mut()) {
-                                *slot = Some(build_op(&eigensystems[w], config_ref, t));
-                            }
-                        });
-                    });
-                }
-            })
-            // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
-            .expect("expm scope");
-        } else {
-            for (&(_, w, t), slot) in stale.iter().zip(built.iter_mut()) {
-                *slot = Some(build_op(&eigensystems[w], &config, t));
-            }
-        }
-        for ((node, w, t), op) in stale.iter().copied().zip(built) {
-            ops.insert(
-                node * N_OMEGA + w,
-                PtKey::new(&eigensystems[w], t),
-                // check: allow(rob-unwrap) every stale slot was filled by the build loop above
-                op.expect("stale operator rebuilt"),
-            );
+        let stale: Vec<(usize, usize, f64)> = op_items(problem, branch_lengths, scale)
+            .into_iter()
+            .filter(|&(node, w, t)| !ops.probe(node * N_OMEGA + w, PtKey::new(&eigensystems[w], t)))
+            .collect();
+        let built = build_ops(&config, &eigensystems, &stale, threads);
+        let mut rebuilt = vec![false; n_nodes * N_OMEGA];
+        for (&(node, w, t), op) in stale.iter().zip(built) {
+            rebuilt[node * N_OMEGA + w] = true;
+            ops.insert(node * N_OMEGA + w, PtKey::new(&eigensystems[w], t), op);
         }
         drop(phase_span);
         let elapsed = start.elapsed();
@@ -368,66 +332,60 @@ impl<'p> ReuseEvaluator<'p> {
                 lo += bw;
             }
         }
-        // Full invalidation when the globals moved (no prior state counts
-        // as that) or the cached units are addressed under a different
-        // geometry (e.g. a proportion hit exactly 0 and dropped a class).
-        let full = globals_changed || prev_shape != unit_shape;
-        if full {
+        // Fresh unit caches (first call, released above, or a geometry
+        // change such as a proportion hitting exactly 0) hold nothing to
+        // reuse. Otherwise a (class, node) CPV is recomputed iff an
+        // operator that class applies below the node was rebuilt: child
+        // u contributes its foreground or background ω slot, and dirt
+        // propagates up in postorder.
+        let fresh = units.len() != unit_shape.len() || prev_shape != unit_shape;
+        if fresh {
+            units = unit_shape.iter().map(|_| UnitCache::new()).collect();
+        }
+        let dirty: Vec<Vec<bool>> = classes
+            .iter()
+            .map(|class| {
+                let mut d = vec![false; n_nodes];
+                for &v in &problem.postorder {
+                    d[v] = !problem.children[v].is_empty()
+                        && (fresh
+                            || problem.children[v].iter().any(|&u| {
+                                let w = if problem.is_foreground[u] {
+                                    class.foreground_omega
+                                } else {
+                                    class.background_omega
+                                };
+                                d[u] || rebuilt[u * N_OMEGA + w]
+                            }));
+                }
+                d
+            })
+            .collect();
+        let n_dirty: Vec<usize> = dirty
+            .iter()
+            .map(|d| d.iter().filter(|&&x| x).count())
+            .collect();
+        let n_units = unit_shape.len();
+        // check: allow(det-float-accum) usize unit count, not a float reduction
+        let recomputed: usize = unit_shape.iter().map(|&(ci, _, _)| n_dirty[ci]).sum();
+        let reused = n_units * self.n_internal - recomputed;
+        if reused == 0 {
             obs.reuse_full_invalidations.inc();
         }
         obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
-        if units.len() != unit_shape.len() || full {
-            units = unit_shape.iter().map(|_| UnitCache::new()).collect();
-        }
-
-        let mut dirty = vec![false; n_nodes];
-        let mut n_dirty_internal = 0usize;
-        if full {
-            for node in 0..n_nodes {
-                if !problem.children[node].is_empty() {
-                    dirty[node] = true;
-                    n_dirty_internal += 1;
-                }
-            }
-        } else {
-            // A changed branch above node v changes the operator applied
-            // *to* v, so v's parent and every ancestor up to the root must
-            // recompute; v's own CPV is untouched. Dirty sets are closed
-            // under "parent of", so an already-marked node ends the walk.
-            for &bi in &dirty_branches {
-                let mut cur = problem.parent[self.branch_node[bi]];
-                while let Some(p) = cur {
-                    if dirty[p] {
-                        break;
-                    }
-                    dirty[p] = true;
-                    n_dirty_internal += 1;
-                    cur = problem.parent[p];
-                }
-            }
-        }
-        let n_units = unit_shape.len();
         obs.units.add(n_units as u64);
-        obs.reuse_units_recomputed
-            .add((n_units * n_dirty_internal) as u64);
-        obs.reuse_units_reused
-            .add((n_units * (self.n_internal - n_dirty_internal)) as u64);
-        if n_dirty_internal < self.n_internal {
+        obs.reuse_units_recomputed.add(recomputed as u64);
+        obs.reuse_units_reused.add(reused as u64);
+        if reused > 0 {
             slim_trace::instant_with("lik.reuse.hit", "lik", || {
-                vec![(
-                    "cpv_blocks",
-                    slim_trace::Value::U64((n_units * (self.n_internal - n_dirty_internal)) as u64),
-                )]
+                vec![("cpv_blocks", slim_trace::Value::U64(reused as u64))]
             });
         }
-        if n_dirty_internal > 0 {
+        if recomputed > 0 {
             slim_trace::instant_with("lik.reuse.miss", "lik", || {
                 vec![
-                    (
-                        "cpv_blocks",
-                        slim_trace::Value::U64((n_units * n_dirty_internal) as u64),
-                    ),
-                    ("full", slim_trace::Value::U64(full as u64)),
+                    ("cpv_blocks", slim_trace::Value::U64(recomputed as u64)),
+                    ("full", slim_trace::Value::U64((reused == 0) as u64)),
                 ]
             });
         }
@@ -452,6 +410,7 @@ impl<'p> ReuseEvaluator<'p> {
             bg: usize,
             fg: usize,
             lo: usize,
+            dirty: &'a [bool],
             out: &'a mut [f64],
             cache: &'a mut UnitCache,
         }
@@ -475,13 +434,13 @@ impl<'p> ReuseEvaluator<'p> {
                     bg: classes[ci].background_omega,
                     fg: classes[ci].foreground_omega,
                     lo,
+                    dirty: &dirty[ci],
                     out: chunk,
                     cache,
                 });
             }
         }
         let view = CachedOps(&ops);
-        let dirty_ref: &[bool] = &dirty;
         let prune_threads = threads.min(runits.len()).max(1);
         // Per-worker busy time is only clocked while collection is on, so
         // the disabled path takes no Instant reads per unit.
@@ -512,7 +471,7 @@ impl<'p> ReuseEvaluator<'p> {
                                 block_span.arg_u64("lo", unit.lo as u64);
                                 prune_block_cached(
                                     problem, config_ref, view, unit.bg, unit.fg, unit.lo,
-                                    dirty_ref, unit.out, unit.cache, &mut ws,
+                                    unit.dirty, unit.out, unit.cache, &mut ws,
                                 );
                                 drop(block_span);
                                 if let Some(t0) = t0 {
@@ -538,7 +497,7 @@ impl<'p> ReuseEvaluator<'p> {
             let t0 = obs_on.then(Instant::now);
             for unit in runits {
                 prune_block_cached(
-                    problem, &config, &view, unit.bg, unit.fg, unit.lo, dirty_ref, unit.out,
+                    problem, &config, &view, unit.bg, unit.fg, unit.lo, unit.dirty, unit.out,
                     unit.cache, &mut ws,
                 );
             }
@@ -551,10 +510,7 @@ impl<'p> ReuseEvaluator<'p> {
         // block from its cached children and demand bit equality — a
         // stale-serve is caught at the evaluation that commits it.
         #[cfg(feature = "sanitize")]
-        if !full && n_dirty_internal < self.n_internal && !unit_shape.is_empty() {
-            let clean: Vec<usize> = (0..n_nodes)
-                .filter(|&v| !problem.children[v].is_empty() && !dirty[v])
-                .collect();
+        if reused > 0 {
             let mut next = || {
                 self.rng_state = self
                     .rng_state
@@ -562,9 +518,15 @@ impl<'p> ReuseEvaluator<'p> {
                     .wrapping_add(1442695040888963407);
                 (self.rng_state >> 33) as usize
             };
-            let node = clean[next() % clean.len()];
-            let ui = next() % unit_shape.len();
+            let with_clean: Vec<usize> = (0..n_units)
+                .filter(|&ui| n_dirty[unit_shape[ui].0] < self.n_internal)
+                .collect();
+            let ui = with_clean[next() % with_clean.len()];
             let (ci, lo, _) = unit_shape[ui];
+            let clean: Vec<usize> = (0..n_nodes)
+                .filter(|&v| !problem.children[v].is_empty() && !dirty[ci][v])
+                .collect();
+            let node = clean[next() % clean.len()];
             let mut ws = ReuseScratch::new();
             crate::pruning::sanitize_recheck_node(
                 problem,
@@ -614,6 +576,7 @@ impl<'p> ReuseEvaluator<'p> {
         self.state = Some(EvalState {
             model: *model,
             branch_lengths: branch_lengths.to_vec(),
+            scale,
             eigensystems,
             ops,
             unit_shape,
@@ -767,6 +730,34 @@ mod tests {
     #[test]
     fn reuse_matches_stateless_with_eigen_cache_profile() {
         run_script(EngineConfig::slim_plus().with_pattern_block(3));
+    }
+
+    #[test]
+    fn nan_parameters_are_errors_in_both_evaluators() {
+        let problem = toy_problem();
+        let config = EngineConfig::slim().with_pattern_block(2);
+        let good = BranchSiteModel::default_start(Hypothesis::H1);
+        let bl = vec![0.1; problem.n_branches()];
+        let mut ev = ReuseEvaluator::new(&problem, config.clone());
+        let before = ev.evaluate(&good, &bl, &ReuseHint::Full, None).unwrap();
+        for bad in [
+            BranchSiteModel {
+                kappa: f64::NAN,
+                ..good
+            },
+            BranchSiteModel {
+                p0: f64::NAN,
+                ..good
+            },
+        ] {
+            let stateless = site_class_log_likelihoods(&problem, &config, &bad, &bl);
+            assert!(matches!(stateless, Err(LinalgError::Domain { .. })));
+            let reused = ev.evaluate(&bad, &bl, &ReuseHint::Full, None);
+            assert!(matches!(reused, Err(LinalgError::Domain { .. })));
+        }
+        // The rejected points left the previous state intact.
+        let after = ev.evaluate(&good, &bl, &ReuseHint::Full, None).unwrap();
+        assert_bits_equal(&after, &before, 0);
     }
 
     // Under `sanitize` a deliberately wrong hint panics instead.

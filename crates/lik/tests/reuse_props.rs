@@ -13,6 +13,11 @@
 //! hints (the evaluator's bitwise self-diff, not the caller's hint, is
 //! the ground truth; a hint that is too narrow must be caught, never
 //! believed).
+//!
+//! The deterministic work counters (`lik.eigen.decompositions`,
+//! `lik.expm.ops_built`, `lik.reuse.units_recomputed`) of one replayed
+//! central-difference gradient are pinned as well. Counters are
+//! process-wide, so every test here holds [`SERIAL`] while it evaluates.
 
 use proptest::prelude::*;
 use slim_bio::{FreqModel, GeneticCode};
@@ -22,6 +27,15 @@ use slim_lik::{
 };
 use slim_model::BranchSiteModel;
 use slim_sim::{dataset, DatasetId};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this file's tests so the counter deltas of
+/// [`gradient_work_counts_are_pinned`] see its evaluations only.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One optimizer-like step applied to the current point.
 #[derive(Debug, Clone)]
@@ -31,8 +45,14 @@ enum Step {
     BranchProbe { branch: usize, eps: f64 },
     /// Line-search move: scale several branch lengths at once.
     BranchMove { branches: Vec<(usize, f64)> },
-    /// Global model step (κ / ω0 / ω2 / p0 / p1) — invalidates everything.
+    /// Global model step (κ / ω0 / ω2 / p0 / p1).
     Global { which: usize, delta: f64 },
+    /// Central-difference probe on one global (restored by a later probe
+    /// or step, as in a numgrad sweep).
+    GlobalProbe { which: usize, eps: f64 },
+    /// Move to an H0-shaped point: ω2 = 1 exactly, so the ω2 slot shares
+    /// the ω1 decomposition.
+    NullOmega2,
     /// Mixed step: a global change plus a branch change in one move.
     Mixed { which: usize, branch: usize },
     /// Re-evaluate the unchanged point (hit path).
@@ -42,9 +62,10 @@ enum Step {
 /// Weighted mix of step kinds (the vendored proptest has no `prop_oneof`,
 /// so the choice is an explicit flat-map over a weight range): 3 parts
 /// single-branch probes — the numgrad-dominant shape — 2 parts
-/// line-search moves, 2 parts global steps, 1 part mixed, 1 part repeat.
+/// line-search moves, 2 parts global steps, 2 parts single-global
+/// probes, 1 part mixed, 1 part repeat, 1 part H0-shaped point.
 fn step_strategy(n_branches: usize) -> impl Strategy<Value = Step> {
-    (0usize..9).prop_flat_map(move |kind| match kind {
+    (0usize..12).prop_flat_map(move |kind| match kind {
         0..=2 => (0..n_branches, 0usize..3)
             .prop_map(|(branch, e)| Step::BranchProbe {
                 branch,
@@ -63,6 +84,13 @@ fn step_strategy(n_branches: usize) -> impl Strategy<Value = Step> {
         7 => (0usize..5, 0..n_branches)
             .prop_map(|(which, branch)| Step::Mixed { which, branch })
             .boxed(),
+        8..=9 => (0usize..5, 0usize..2)
+            .prop_map(|(which, e)| Step::GlobalProbe {
+                which,
+                eps: [1e-6, -1e-6][e],
+            })
+            .boxed(),
+        10 => Just(Step::NullOmega2).boxed(),
         _ => Just(Step::Repeat).boxed(),
     })
 }
@@ -104,6 +132,26 @@ fn apply(step: &Step, model: &mut BranchSiteModel, bl: &mut [f64]) -> ReuseHint 
                 branches: Vec::new(),
             }
         }
+        Step::GlobalProbe { which, eps } => {
+            match which {
+                0 => model.kappa += eps,
+                1 => model.omega0 += eps,
+                2 => model.omega2 += eps,
+                3 => model.p0 += eps,
+                _ => model.p1 += eps,
+            }
+            ReuseHint::Sparse {
+                globals: true,
+                branches: Vec::new(),
+            }
+        }
+        Step::NullOmega2 => {
+            model.omega2 = 1.0;
+            ReuseHint::Sparse {
+                globals: true,
+                branches: Vec::new(),
+            }
+        }
         Step::Mixed { which, branch } => {
             global(model, *which, 0.015625);
             bl[*branch] = (bl[*branch] * 1.0625).max(1e-7);
@@ -126,6 +174,7 @@ fn check_sequence(
     config: &EngineConfig,
     steps: &[Step],
 ) -> Result<(), TestCaseError> {
+    let _serial = serial();
     let d = dataset(id);
     let problem = LikelihoodProblem::new(
         &d.tree,
@@ -251,6 +300,15 @@ fn reuse_is_bit_identical_on_every_dataset_shape() {
             which: 3,
             branch: 2,
         },
+        Step::GlobalProbe {
+            which: 2,
+            eps: 1e-6,
+        },
+        Step::NullOmega2,
+        Step::GlobalProbe {
+            which: 1,
+            eps: -1e-6,
+        },
     ];
     for id in DatasetId::ALL {
         for threads in [1usize, 4] {
@@ -261,4 +319,133 @@ fn reuse_is_bit_identical_on_every_dataset_shape() {
             }
         }
     }
+}
+
+/// The deterministic work counters named in the module docs.
+fn work_counts() -> [u64; 3] {
+    [
+        "lik.eigen.decompositions",
+        "lik.expm.ops_built",
+        "lik.reuse.units_recomputed",
+    ]
+    .map(|name| slim_obs::counter(name).get())
+}
+
+/// Replay one central-difference gradient (probe order κ, ω0, ω2, p0,
+/// p1, then every branch length; H0 fixes ω2) from an evaluated base
+/// point, returning the work-counter deltas over the sweep.
+fn gradient_work(
+    evaluator: &mut ReuseEvaluator,
+    model: &BranchSiteModel,
+    bl: &[f64],
+    omega2_free: bool,
+) -> [u64; 3] {
+    evaluator
+        .evaluate(model, bl, &ReuseHint::Full, None)
+        .expect("base point");
+    let before = work_counts();
+    let mut globals = vec![0usize, 1, 2, 3, 4];
+    if !omega2_free {
+        globals.retain(|&g| g != 2);
+    }
+    fn global(m: &mut BranchSiteModel, which: usize) -> &mut f64 {
+        match which {
+            0 => &mut m.kappa,
+            1 => &mut m.omega0,
+            2 => &mut m.omega2,
+            3 => &mut m.p0,
+            _ => &mut m.p1,
+        }
+    }
+    for which in globals {
+        for eps in [1e-6, -1e-6] {
+            let mut probe = *model;
+            *global(&mut probe, which) += eps;
+            let hint = ReuseHint::Sparse {
+                globals: true,
+                branches: Vec::new(),
+            };
+            evaluator.evaluate(&probe, bl, &hint, None).expect("probe");
+        }
+    }
+    for branch in 0..bl.len() {
+        for eps in [1e-6, -1e-6] {
+            let mut probe = bl.to_vec();
+            probe[branch] += eps;
+            let hint = ReuseHint::Sparse {
+                globals: true,
+                branches: (0..bl.len()).collect(),
+            };
+            evaluator
+                .evaluate(model, &probe, &hint, None)
+                .expect("probe");
+        }
+    }
+    let after = work_counts();
+    [0, 1, 2].map(|i| after[i] - before[i])
+}
+
+/// One gradient costs 14 decompositions in H1 (κ± 3 + 3, ω0± 3 + 1,
+/// ω2± 2 + 1, p0+ 1 to restore ω2) and 8 in H0 (ω2 = ω1 share one slot);
+/// an ω2 probe rebuilds one operator and recomputes only classes 2a/2b
+/// on the foreground-to-root path.
+#[test]
+fn gradient_work_counts_are_pinned() {
+    let _serial = serial();
+    slim_obs::set_enabled(true);
+    let d = dataset(DatasetId::I);
+    let problem = LikelihoodProblem::new(
+        &d.tree,
+        &d.alignment,
+        &GeneticCode::universal(),
+        FreqModel::F3x4,
+    )
+    .expect("preset dataset is well-formed");
+    let config = EngineConfig::slim();
+    let bl = d.tree.branch_lengths();
+    let h1 = d.true_model;
+    assert!(
+        h1.omega2 > 1.0,
+        "the analog's generating model is H1-shaped"
+    );
+    let h0 = BranchSiteModel { omega2: 1.0, ..h1 };
+
+    let mut evaluator = ReuseEvaluator::new(&problem, config.clone());
+    assert_eq!(gradient_work(&mut evaluator, &h1, &bl, true)[0], 14);
+    let mut evaluator = ReuseEvaluator::new(&problem, config.clone());
+    assert_eq!(gradient_work(&mut evaluator, &h0, &bl, false)[0], 8);
+
+    // A lone ω2 probe from an evaluated H1 point.
+    let mut evaluator = ReuseEvaluator::new(&problem, config.clone());
+    evaluator
+        .evaluate(&h1, &bl, &ReuseHint::Full, None)
+        .expect("base point");
+    let before = work_counts();
+    let probe = BranchSiteModel {
+        omega2: h1.omega2 + 1e-6,
+        ..h1
+    };
+    let hint = ReuseHint::Sparse {
+        globals: true,
+        branches: Vec::new(),
+    };
+    evaluator.evaluate(&probe, &bl, &hint, None).expect("probe");
+    let after = work_counts();
+    let fg = (0..problem.children.len())
+        .find(|&v| problem.is_foreground[v])
+        .expect("a foreground branch");
+    let mut fg_path = 0u64;
+    let mut cur = problem.parent[fg];
+    while let Some(v) = cur {
+        fg_path += 1;
+        cur = problem.parent[v];
+    }
+    let blocks = problem.n_patterns().div_ceil(config.pattern_block) as u64;
+    assert_eq!(after[0] - before[0], 1, "one decomposition (the ω2 slot)");
+    assert_eq!(after[1] - before[1], 1, "one operator (the foreground ω2)");
+    assert_eq!(
+        after[2] - before[2],
+        2 * blocks * fg_path,
+        "classes 2a/2b on the foreground-to-root path only"
+    );
 }

@@ -32,6 +32,14 @@ pub enum LinalgError {
         /// Observed (rows, cols).
         cols: usize,
     },
+    /// An input lies outside the operation's domain (for example a
+    /// non-finite or non-positive rate scale).
+    Domain {
+        /// Short name of the operation.
+        op: &'static str,
+        /// Human-readable description of the offending input.
+        detail: String,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -47,6 +55,7 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { op, rows, cols } => {
                 write!(f, "{op}: expected square matrix, got {rows}x{cols}")
             }
+            LinalgError::Domain { op, detail } => write!(f, "{op}: {detail}"),
         }
     }
 }
@@ -77,5 +86,10 @@ mod tests {
             cols: 3,
         };
         assert!(e.to_string().contains("2x3"));
+        let e = LinalgError::Domain {
+            op: "scale",
+            detail: "NaN".into(),
+        };
+        assert!(e.to_string().contains("NaN"));
     }
 }

@@ -90,11 +90,13 @@ impl BranchSiteModel {
     /// The four site classes of Table I.
     ///
     /// # Panics
-    /// Panics (debug) if the proportions are outside the simplex.
+    /// Panics (debug) if the proportions are outside the simplex. NaN
+    /// proportions pass through, so the likelihood engine can report
+    /// the NaN scale they produce as an error.
     pub fn site_classes(&self) -> [SiteClass; N_SITE_CLASSES] {
         let (p0, p1) = (self.p0, self.p1);
         debug_assert!(
-            p0 > 0.0 && p1 >= 0.0 && p0 + p1 <= 1.0 + 1e-12,
+            !(p0 <= 0.0 || p1 < 0.0 || p0 + p1 > 1.0 + 1e-12),
             "invalid proportions"
         );
         let rest = (1.0 - p0 - p1).max(0.0);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full SlimCodeML pipeline from
 //! simulated data to LRT verdicts.
 
+use proptest::prelude::*;
 use slimcodeml::core::{Analysis, AnalysisOptions, Backend, BranchSiteModel, Hypothesis};
 use slimcodeml::opt::GradMode;
 use slimcodeml::sim::{simulate_alignment, yule_tree};
@@ -141,4 +142,45 @@ fn iteration_accounting_is_populated() {
     assert!(fit.iterations > 0);
     assert!(fit.f_evals > fit.iterations);
     assert!(fit.wall_time.as_nanos() > 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+
+    /// lnL1 ≥ lnL0 by construction: H0's point (ω2 = 1) is feasible in
+    /// H1, so the reported H1 fit never lies below H0 on any data or
+    /// jittered start — here small simulated genes with and without
+    /// positive selection.
+    #[test]
+    fn h1_never_fits_worse_than_h0(
+        tree_seed in 0u64..1000,
+        aln_seed in 0u64..1000,
+        start_seed in 0u64..1000,
+        omega2 in 1.0f64..4.0,
+    ) {
+        let tree = yule_tree(4, 0.15, tree_seed);
+        let truth = BranchSiteModel {
+            kappa: 2.5,
+            omega0: 0.15,
+            omega2,
+            p0: 0.65,
+            p1: 0.25,
+        };
+        let aln = simulate_alignment(&tree, &truth, &[1.0 / 61.0; 61], 30, aln_seed);
+        let options = AnalysisOptions {
+            seed: start_seed,
+            max_iterations: 30,
+            ..Default::default()
+        };
+        let result = Analysis::new(&tree, &aln, options)
+            .unwrap()
+            .test_positive_selection()
+            .unwrap();
+        prop_assert!(
+            result.h1.lnl >= result.h0.lnl,
+            "lnL1 {} < lnL0 {}",
+            result.h1.lnl,
+            result.h0.lnl
+        );
+    }
 }
