@@ -12,6 +12,10 @@
 //! * posterior at `v` ∝ `up_v[s] · down_v[s]`, mixed over the four
 //!   branch-site classes with their proportions.
 //!
+//! Both passes rescale every column to maximum 1 and carry the log of the
+//! factors divided out, and the class mixture is accumulated against a
+//! per-column log offset, so deep trees do not underflow.
+//!
 //! Reconstruction runs once per fitted model (not in the optimization hot
 //! loop), so this implementation favors clarity over kernel tuning — it
 //! always uses the Slim Eq. 10 expm path.
@@ -135,7 +139,10 @@ pub fn ancestral_reconstruction(
 
     let classes = model.site_classes();
 
-    // Accumulate joint (unnormalized) posteriors over classes.
+    // Accumulate joint (unnormalized) posteriors over classes. Column `p`
+    // of `joint[v]` times `exp(offset[v][p])` is the mixture; the offset is
+    // the largest class log-weight seen so far, so no class underflows the
+    // others away before it is compared with them.
     let mut joint: Vec<Option<Mat>> = (0..n_nodes)
         .map(|i| {
             if problem.children[i].is_empty() {
@@ -145,6 +152,7 @@ pub fn ancestral_reconstruction(
             }
         })
         .collect();
+    let mut offset = vec![vec![f64::NEG_INFINITY; n_pat]; n_nodes];
 
     for class in &classes {
         if class.proportion <= 0.0 {
@@ -158,8 +166,11 @@ pub fn ancestral_reconstruction(
             }
         };
 
-        // ---- up pass (postorder). ----
+        // ---- up pass (postorder). Every internal column is rescaled to
+        // maximum 1; `up_log[v][p]` is the log of all factors divided out
+        // in v's subtree. ----
         let mut up: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
+        let mut up_log = vec![vec![0.0f64; n_pat]; n_nodes];
         // `up_branch[v]` = P(t_v) · up[v] — v's message to its parent.
         let mut up_branch: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
 
@@ -187,7 +198,10 @@ pub fn ancestral_reconstruction(
                             up[node][(s, p)] *= up_branch[child][(s, p)];
                         }
                     }
+                    let child_log = up_log[child].clone();
+                    add_logs(&mut up_log[node], &child_log);
                 }
+                rescale_columns(&mut up[node], &mut up_log[node]);
             }
             if problem.branch_index[node].is_some() {
                 let pm = pmats[node][omega_of(node)].as_ref().expect("P built");
@@ -200,8 +214,9 @@ pub fn ancestral_reconstruction(
             }
         }
 
-        // ---- down pass (preorder). ----
+        // ---- down pass (preorder), rescaled like the up pass. ----
         let mut down: Vec<Mat> = (0..n_nodes).map(|_| Mat::zeros(n, n_pat)).collect();
+        let mut down_log = vec![vec![0.0f64; n_pat]; n_nodes];
         let preorder: Vec<usize> = problem.postorder.iter().rev().copied().collect();
         for &node in &preorder {
             if node == problem.root {
@@ -216,6 +231,7 @@ pub fn ancestral_reconstruction(
             let children = problem.children[node].clone();
             for &child in &children {
                 let mut outside = down[node].clone();
+                let mut outside_log = down_log[node].clone();
                 for &sib in &children {
                     if sib != child {
                         for s in 0..n {
@@ -223,6 +239,7 @@ pub fn ancestral_reconstruction(
                                 outside[(s, p)] *= up_branch[sib][(s, p)];
                             }
                         }
+                        add_logs(&mut outside_log, &up_log[sib]);
                     }
                 }
                 // down_child[s] = Σ_{s'} P(s'→s) outside[s'] — a transposed
@@ -238,7 +255,9 @@ pub fn ancestral_reconstruction(
                     0.0,
                     &mut result,
                 );
+                rescale_columns(&mut result, &mut outside_log);
                 down[child] = result;
+                down_log[child] = outside_log;
             }
         }
 
@@ -248,9 +267,19 @@ pub fn ancestral_reconstruction(
                 continue;
             }
             let j = joint[node].as_mut().expect("internal joint allocated");
-            for s in 0..n {
-                for p in 0..n_pat {
-                    j[(s, p)] += class.proportion * up[node][(s, p)] * down[node][(s, p)];
+            for p in 0..n_pat {
+                let w = class.proportion.ln() + up_log[node][p] + down_log[node][p];
+                let o = &mut offset[node][p];
+                if w > *o {
+                    let shrink = (*o - w).exp();
+                    for s in 0..n {
+                        j[(s, p)] *= shrink;
+                    }
+                    *o = w;
+                }
+                let f = (w - *o).exp();
+                for s in 0..n {
+                    j[(s, p)] += f * up[node][(s, p)] * down[node][(s, p)];
                 }
             }
         }
@@ -278,6 +307,29 @@ pub fn ancestral_reconstruction(
             .map(|s| problem.patterns.pattern_of_site(s))
             .collect(),
     })
+}
+
+/// Divide every column of `m` by its maximum, adding the log of each
+/// divisor to `log`.
+fn rescale_columns(m: &mut Mat, log: &mut [f64]) {
+    for p in 0..m.cols() {
+        let max = (0..m.rows()).map(|s| m[(s, p)]).fold(0.0, f64::max);
+        if max > 0.0 {
+            for s in 0..m.rows() {
+                m[(s, p)] /= max;
+            }
+            // check: allow(det-float-accum) one rescale term per node, in fixed tree order
+            log[p] += max.ln();
+        }
+    }
+}
+
+/// `acc[p] += add[p]` for every column.
+fn add_logs(acc: &mut [f64], add: &[f64]) {
+    for (a, b) in acc.iter_mut().zip(add) {
+        // check: allow(det-float-accum) one subtree's rescale log per child, in fixed tree order
+        *a += b;
+    }
 }
 
 #[cfg(test)]
@@ -411,5 +463,33 @@ mod tests {
                 assert!(best.iter().all(|r| r.posterior > 0.0 && r.posterior <= 1.0));
             }
         }
+    }
+
+    #[test]
+    fn deep_tree_posteriors_stay_finite() {
+        // 400 species × 20 codons: without rescaling the up and down
+        // vectors underflow and some columns come out 0 or NaN, while the
+        // likelihood engine stays finite on the same input.
+        let tree = slim_sim::yule_tree(400, 0.15, 3);
+        let model = BranchSiteModel::default_start(Hypothesis::H1);
+        let pi = vec![1.0 / 61.0; 61];
+        let aln = slim_sim::simulate_alignment(&tree, &model, &pi, 20, 7);
+        let code = GeneticCode::universal();
+        let problem = LikelihoodProblem::new(&tree, &aln, &code, FreqModel::Equal).unwrap();
+        let bl = problem.branch_order_of(&tree);
+        let lnl = crate::log_likelihood(&problem, &EngineConfig::slim(), &model, &bl).unwrap();
+        assert!(lnl.is_finite());
+        let rec = ancestral_reconstruction(&problem, &EngineConfig::slim(), &model, &bl).unwrap();
+        let mut bad = 0;
+        for post in rec.posteriors.iter().flatten() {
+            for p in 0..problem.n_patterns() {
+                let column: Vec<f64> = (0..61).map(|s| post[(s, p)]).collect();
+                let total: f64 = column.iter().sum();
+                if !column.iter().all(|v| v.is_finite()) || (total - 1.0).abs() > 1e-9 {
+                    bad += 1;
+                }
+            }
+        }
+        assert_eq!(bad, 0, "{bad} internal-node columns are not distributions");
     }
 }

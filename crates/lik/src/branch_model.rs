@@ -6,13 +6,12 @@
 //! the optimized pipeline serves unchanged: two eigendecompositions per
 //! evaluation, one pruning pass.
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::{aux_ops, decompose};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use crate::pruning::prune_one_class;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, rate_components, ScalePolicy};
-use std::sync::Arc;
+use slim_model::{rate_components, ScalePolicy};
 
 /// Log-likelihood under the two-ratio branch model.
 ///
@@ -35,57 +34,17 @@ pub fn log_likelihood_branch(
     omega_foreground: f64,
     branch_lengths: &[f64],
 ) -> Result<f64, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
     let (syn, nonsyn) = rate_components(&problem.code, kappa, &problem.pi);
-    let scale = syn + omega_background * nonsyn;
-
-    let mut eigensystems: Vec<Arc<EigenSystem>> = Vec::with_capacity(2);
-    for &omega in &[omega_background, omega_foreground] {
-        let rm = build_rate_matrix(
-            &problem.code,
-            kappa,
-            omega,
-            &problem.pi,
-            ScalePolicy::External(scale),
-        );
-        let es = match &config.eigen_cache {
-            Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen)?,
-            None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-        };
-        eigensystems.push(es);
-    }
-
-    let n_nodes = problem.children.len();
-    let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-    for node in 0..n_nodes {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        // Slot 0 = background ω, slot 1 = foreground ω; prune_one_class is
-        // called with (bg = 0, fg = 1).
-        let needed: &[usize] = if problem.is_foreground[node] {
-            &[1]
-        } else {
-            &[0]
-        };
-        for &w in needed {
-            let es = &eigensystems[w];
-            ops[node][w] = Some(match config.cpv {
-                CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-                _ => TransOp::Dense(match config.expm {
-                    ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                    ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                    ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-                }),
-            });
-        }
-    }
-
+    let policy = ScalePolicy::External(syn + omega_background * nonsyn);
+    let systems = [
+        decompose(problem, config, kappa, omega_background, policy)?,
+        decompose(problem, config, kappa, omega_foreground, policy)?,
+    ];
+    // Slot 0 = background ω, slot 1 = foreground ω.
+    let ops = aux_ops(problem, config, &systems, branch_lengths, |node| {
+        let w = usize::from(problem.is_foreground[node]);
+        w..w + 1
+    });
     let per_pattern = prune_one_class(problem, config, &ops, 0, 1);
     let mut lnl = 0.0;
     for (p, &lp) in per_pattern.iter().enumerate() {

@@ -19,6 +19,14 @@
 //!   after its evaluation, plus a cross-evaluation eigendecomposition
 //!   cache.
 //!
+//! Every branch-site evaluation runs one driver, [`ReuseEvaluator`], over
+//! one pruning kernel. A fit keeps a persistent evaluator that recomputes
+//! only what a parameter change touches; [`site_class_log_likelihoods`]
+//! and [`log_likelihood`] run a one-shot evaluator that computes
+//! everything and keeps nothing (counted in `lik.evaluations`, not in
+//! `lik.reuse.*`). The M0, two-ratio and M1a/M2a models call the same
+//! kernel.
+//!
 //! Numerical scaling keeps per-pattern conditional probabilities in range
 //! on large trees; per-class per-pattern log-likelihoods are exposed for
 //! empirical-Bayes site identification.

@@ -6,13 +6,12 @@
 //! — the Eq. 1 rate matrix, the symmetric expm paths, and the pruning
 //! engine (a single site class, identical foreground/background ω).
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::{aux_ops, decompose};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use crate::pruning::prune_one_class;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, ScalePolicy};
-use std::sync::Arc;
+use slim_model::ScalePolicy;
 
 /// Log-likelihood of the alignment under M0 with parameters
 /// `(kappa, omega)` and the given branch lengths.
@@ -32,40 +31,8 @@ pub fn log_likelihood_m0(
     omega: f64,
     branch_lengths: &[f64],
 ) -> Result<f64, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let rm = build_rate_matrix(
-        &problem.code,
-        kappa,
-        omega,
-        &problem.pi,
-        ScalePolicy::PerClass,
-    );
-    let es = match &config.eigen_cache {
-        Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen)?,
-        None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-    };
-
-    let n_nodes = problem.children.len();
-    let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-    for (node, op_slot) in ops.iter_mut().enumerate() {
-        let Some(bi) = problem.branch_index[node] else {
-            continue;
-        };
-        let t = branch_lengths[bi];
-        op_slot[0] = Some(match config.cpv {
-            CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-            _ => TransOp::Dense(match config.expm {
-                ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-            }),
-        });
-    }
-
+    let es = decompose(problem, config, kappa, omega, ScalePolicy::PerClass)?;
+    let ops = aux_ops(problem, config, &[es], branch_lengths, |_| 0..1);
     let per_pattern = prune_one_class(problem, config, &ops, 0, 0);
     let mut lnl = 0.0;
     for (p, &lp) in per_pattern.iter().enumerate() {

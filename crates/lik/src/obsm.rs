@@ -37,7 +37,8 @@ pub(crate) struct LikMetrics {
     /// `lik.simd.lanes` — vector lanes of the SIMD backend the last
     /// evaluation resolved to (1 = scalar, 4 = AVX2, 2 = NEON).
     pub simd_lanes: Arc<Gauge>,
-    /// `lik.reuse.evaluations` — evaluations served by the reuse engine.
+    /// `lik.reuse.evaluations` — evaluations of a persistent evaluator
+    /// (one-shot calls are not counted).
     pub reuse_evaluations: Arc<Counter>,
     /// `lik.reuse.full_invalidations` — reuse evaluations that had to
     /// recompute every CPV (every operator rebuilt, first call, or shape

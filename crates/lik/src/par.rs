@@ -1,20 +1,24 @@
-//! `slim-par`: the intra-gene parallel evaluation driver (§V-B's
-//! FastCodeML direction).
+//! `slim-par`: the parallel phase helpers of one likelihood evaluation
+//! (§V-B's FastCodeML direction).
 //!
-//! One branch-site likelihood evaluation runs as four phases:
+//! One branch-site likelihood evaluation, run by the one driver in
+//! [`crate::reuse`], has four phases:
 //!
 //! 1. **eigen** — the unscaled rate matrix of each distinct ω is built and
-//!    decomposed, each independent, fanned one-per-thread;
+//!    decomposed, each independent, fanned one-per-thread
+//!    ([`build_eigensystems`]);
 //! 2. **expm** — one transition operator per (branch, needed ω) pair at
 //!    the branch length divided by the shared rate scale, all
-//!    independent, chunked across threads;
+//!    independent, chunked across threads ([`op_items`], [`build_ops`]);
 //! 3. **pruning** — units of (site class × pattern block) stream through a
-//!    crossbeam channel to workers that each own a
-//!    [`PruneWorkspace`](crate::pruning), so the steady state allocates
-//!    nothing (the slim-batch pool conventions, applied within a gene);
+//!    crossbeam channel to workers running [`crate::pruning::prune_block`]
+//!    (the slim-batch pool conventions, applied within a gene);
 //! 4. **reduction** — per-pattern class mixing and the weighted total, on
 //!    the calling thread, in fixed pattern order with Neumaier compensated
-//!    summation.
+//!    summation ([`mix_and_reduce`]).
+//!
+//! The auxiliary models (M0, two-ratio, M1a/M2a) share [`decompose`] and
+//! [`build_op`] through [`aux_ops`].
 //!
 //! ## Why every thread count gives the same bits
 //!
@@ -29,12 +33,13 @@
 
 use crate::engine::{EngineConfig, ExpmPath};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_block, LikelihoodValue, PruneWorkspace, TransOp, N_OMEGA};
-use slim_expm::{CpvStrategy, EigenSystem};
+use crate::pruning::{TransOp, N_OMEGA};
+use slim_expm::{CpvStrategy, EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError, NeumaierSum};
 use slim_model::{build_rate_matrix, BranchSiteModel, ScalePolicy, N_SITE_CLASSES};
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wall-clock time spent in each phase of one (or more, when accumulated)
 /// likelihood evaluations — the `--timing` breakdown.
@@ -63,243 +68,6 @@ impl PhaseTiming {
         self.pruning += other.pruning;
         self.reduction += other.reduction;
     }
-}
-
-/// One pruning work unit: a site class over a contiguous pattern block.
-struct Unit<'a> {
-    bg: usize,
-    fg: usize,
-    lo: usize,
-    out: &'a mut [f64],
-}
-
-/// Evaluate the branch-site likelihood on `config.threads` workers.
-///
-/// This is the engine behind
-/// [`site_class_log_likelihoods`](crate::site_class_log_likelihoods); see
-/// the module docs for the phase structure and determinism argument.
-pub(crate) fn evaluate(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    model: &BranchSiteModel,
-    branch_lengths: &[f64],
-    timing: Option<&mut PhaseTiming>,
-) -> Result<LikelihoodValue, LinalgError> {
-    // The SIMD dispatch override is thread-local; this call covers the
-    // calling thread, and each spawned worker below re-installs it.
-    simd::with_forced(config.simd, || {
-        evaluate_inner(problem, config, model, branch_lengths, timing)
-    })
-}
-
-fn evaluate_inner(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    model: &BranchSiteModel,
-    branch_lengths: &[f64],
-    mut timing: Option<&mut PhaseTiming>,
-) -> Result<LikelihoodValue, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
-    let n_pat = problem.n_patterns();
-    let threads = config.resolved_threads().max(1);
-    let obs = crate::obsm::metrics();
-    obs.evaluations.inc();
-    obs.threads.set(threads as f64);
-    let simd_mode = config.simd;
-    obs.simd_lanes.set(simd::resolve(simd_mode).lanes() as f64);
-    let mut eval_span = slim_trace::span("lik.evaluate", "lik");
-    eval_span.arg_u64("threads", threads as u64);
-    eval_span.arg_u64("patterns", n_pat as u64);
-
-    // --- Phase 1: rate matrices + eigendecompositions, one per distinct
-    // ω. The matrices are unscaled: all classes share one rate scale (the
-    // background mixture average, so ω2 > 1 genuinely accelerates
-    // foreground evolution — see BranchSiteModel::shared_scale), and
-    // exp(Q·t/s) is folded into the branch length instead, so a
-    // decomposition depends on (κ, ω, π) only. The decompositions are
-    // independent; with threads they run one-per-spawn.
-    let scale = checked_scale(problem, model)?;
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.eigen", "lik");
-    let eigensystems = build_eigensystems(problem, config, model, None, threads)?;
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.eigen.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.eigen += elapsed;
-    }
-
-    // --- Phase 2: transition operators per (branch, needed ω). ---
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.expm", "lik");
-    let n_nodes = problem.children.len();
-    let items = op_items(problem, branch_lengths, scale);
-    let built = build_ops(config, &eigensystems, &items, threads);
-    let mut ops: Vec<[Option<TransOp>; N_OMEGA]> =
-        (0..n_nodes).map(|_| [None, None, None]).collect();
-    for (&(node, w, _), op) in items.iter().zip(built) {
-        ops[node][w] = Some(op);
-    }
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.expm.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.expm += elapsed;
-    }
-
-    // --- Phase 3: pruning over (site class × pattern block) units. ---
-    // Block boundaries are fixed by config.pattern_block alone; which
-    // worker computes which block cannot affect any value (see crate
-    // module docs), so the channel's nondeterministic scheduling is
-    // harmless.
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.pruning", "lik");
-    let classes = model.site_classes();
-    let block = config.pattern_block.max(1);
-    let mut per_class: Vec<Vec<f64>> = classes
-        .iter()
-        .map(|class| {
-            if class.proportion <= 0.0 {
-                vec![f64::NEG_INFINITY; n_pat]
-            } else {
-                vec![0.0f64; n_pat]
-            }
-        })
-        .collect();
-    let mut units: Vec<Unit> = Vec::new();
-    for (class, buf) in classes.iter().zip(per_class.iter_mut()) {
-        if class.proportion <= 0.0 {
-            continue; // already filled with −∞; no pruning pass needed
-        }
-        let mut lo = 0usize;
-        for chunk in buf.chunks_mut(block) {
-            let len = chunk.len();
-            units.push(Unit {
-                bg: class.background_omega,
-                fg: class.foreground_omega,
-                lo,
-                out: chunk,
-            });
-            lo += len;
-        }
-    }
-    obs.units.add(units.len() as u64);
-    let prune_threads = threads.min(units.len()).max(1);
-    // Per-worker busy time is only clocked while collection is on, so the
-    // disabled path takes no Instant reads per unit.
-    let obs_on = slim_obs::enabled();
-    if prune_threads >= 2 {
-        let (tx, rx) = crossbeam::channel::unbounded::<Unit>();
-        for unit in units {
-            // Unbounded channel with both endpoints alive: send cannot fail.
-            let _ = tx.send(unit);
-        }
-        drop(tx);
-        let ops = &ops;
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..prune_threads {
-                let rx = rx.clone();
-                scope.spawn(move |_| {
-                    simd::with_forced(simd_mode, || {
-                        let worker_span = slim_trace::span("lik.worker", "lik");
-                        let mut ws = PruneWorkspace::new();
-                        let mut busy = Duration::ZERO;
-                        while let Ok(unit) = rx.recv() {
-                            // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-                            let t0 = obs_on.then(Instant::now);
-                            // Per-unit block span: which (class ω-pair ×
-                            // pattern block) this worker ran, and when.
-                            let mut block_span = slim_trace::span("lik.block", "lik");
-                            block_span.arg_u64("bg", unit.bg as u64);
-                            block_span.arg_u64("fg", unit.fg as u64);
-                            block_span.arg_u64("lo", unit.lo as u64);
-                            prune_block(
-                                problem,
-                                config,
-                                ops.as_slice(),
-                                unit.bg,
-                                unit.fg,
-                                unit.lo,
-                                unit.out,
-                                &mut ws,
-                            );
-                            drop(block_span);
-                            if let Some(t0) = t0 {
-                                busy += t0.elapsed();
-                            }
-                        }
-                        obs.worker_busy.observe(busy);
-                        drop(worker_span);
-                    });
-                    // Scoped thread: flush before the scope unblocks.
-                    if slim_trace::enabled() {
-                        slim_trace::flush_thread();
-                    }
-                });
-            }
-        })
-        .expect("pruning scope");
-    } else {
-        let mut ws = PruneWorkspace::new();
-        // check: allow(det-wallclock) feeds the obs worker-busy gauge only
-        let t0 = obs_on.then(Instant::now);
-        for unit in units {
-            prune_block(
-                problem,
-                config,
-                ops.as_slice(),
-                unit.bg,
-                unit.fg,
-                unit.lo,
-                unit.out,
-                &mut ws,
-            );
-        }
-        if let Some(t0) = t0 {
-            obs.worker_busy.observe(t0.elapsed());
-        }
-    }
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.pruning.observe(elapsed);
-    if let Some(t) = timing.as_deref_mut() {
-        t.pruning += elapsed;
-    }
-
-    // --- Phase 4: mix classes per pattern (log-sum-exp), then the
-    // weighted total — serial, fixed pattern order, compensated. This is
-    // the only order-sensitive reduction in the evaluation, which is what
-    // makes the whole pipeline thread-count invariant. ---
-    // check: allow(det-wallclock) feeds the obs phase-timing histogram only
-    let start = Instant::now();
-    let phase_span = slim_trace::span("lik.reduction", "lik");
-    let props = [
-        classes[0].proportion,
-        classes[1].proportion,
-        classes[2].proportion,
-        classes[3].proportion,
-    ];
-    let (lnl, per_pattern) = mix_and_reduce(problem, props, &per_class, threads);
-    drop(phase_span);
-    let elapsed = start.elapsed();
-    obs.reduction.observe(elapsed);
-    if let Some(t) = timing {
-        t.reduction += elapsed;
-    }
-
-    Ok(LikelihoodValue {
-        lnl,
-        per_pattern,
-        per_class,
-        proportions: props,
-    })
 }
 
 /// The shared branch-site rate scale of `model` (see
@@ -389,7 +157,7 @@ pub(crate) fn build_eigensystems(
             for (slot, &omega) in slots.iter_mut().zip(todo.iter()) {
                 scope.spawn(move |_| {
                     simd::with_forced(simd_mode, || {
-                        *slot = Some(eigen_for(problem, config, kappa, omega));
+                        *slot = Some(decompose(problem, config, kappa, omega, ScalePolicy::None));
                     });
                     // Scoped thread: flush cache-probe instants before
                     // the scope unblocks (see slim_trace::flush_thread).
@@ -406,7 +174,7 @@ pub(crate) fn build_eigensystems(
             .collect::<Result<_, _>>()?
     } else {
         todo.iter()
-            .map(|&omega| eigen_for(problem, config, kappa, omega))
+            .map(|&omega| decompose(problem, config, kappa, omega, ScalePolicy::None))
             .collect::<Result<_, _>>()?
     };
     let mut systems: Vec<Arc<EigenSystem>> = Vec::with_capacity(omegas.len());
@@ -485,8 +253,8 @@ pub(crate) fn build_ops(
 
 /// Phase 4 as a reusable step: per-pattern class mixing (log-sum-exp) and
 /// the weighted total — always serial, fixed pattern order, Neumaier
-/// compensated, so every thread count and both engines (stateless and
-/// reuse) produce the same bits. `threads` is reported in the sanitize
+/// compensated, so every thread count, one-shot or reused, produces the
+/// same bits. `threads` is reported in the sanitize
 /// context only.
 pub(crate) fn mix_and_reduce(
     problem: &LikelihoodProblem,
@@ -535,18 +303,57 @@ pub(crate) fn mix_and_reduce(
 }
 
 /// Build (or fetch from the cross-evaluation cache) the eigensystem of
-/// the unscaled rate matrix for one ω.
-fn eigen_for(
+/// the rate matrix for one (κ, ω) under `policy`: unscaled for the
+/// branch-site engine, scaled for the auxiliary models.
+pub(crate) fn decompose(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
     kappa: f64,
     omega: f64,
+    policy: ScalePolicy,
 ) -> Result<Arc<EigenSystem>, LinalgError> {
-    let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, ScalePolicy::None);
+    let rm = build_rate_matrix(&problem.code, kappa, omega, &problem.pi, policy);
     match &config.eigen_cache {
         Some(cache) => cache.get_or_compute(kappa, omega, &rm, config.eigen),
         None => Ok(Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?)),
     }
+}
+
+/// The operator table of an auxiliary model: `systems[w]` reconstructed
+/// at each branch's length for every ω slot `w` in `slots(node)`. These
+/// models scale their rate matrices, so no time is divided, and their
+/// operators do not count in `lik.expm.ops_built`.
+///
+/// # Panics
+/// Panics if `branch_lengths.len()` mismatches the problem.
+pub(crate) fn aux_ops(
+    problem: &LikelihoodProblem,
+    config: &EngineConfig,
+    systems: &[Arc<EigenSystem>],
+    branch_lengths: &[f64],
+    slots: impl Fn(usize) -> Range<usize>,
+) -> PtCache<TransOp> {
+    assert_eq!(
+        branch_lengths.len(),
+        problem.n_branches(),
+        "branch length vector has wrong length"
+    );
+    let mut ops = PtCache::new(problem.children.len() * N_OMEGA);
+    for node in 0..problem.children.len() {
+        let Some(bi) = problem.branch_index[node] else {
+            continue;
+        };
+        let t = branch_lengths[bi];
+        for w in slots(node) {
+            let es = &systems[w];
+            ops.insert(
+                node * N_OMEGA + w,
+                PtKey::new(es, t),
+                build_op(es, config, t),
+            );
+        }
+    }
+    ops
 }
 
 /// Reconstruct one branch's transition operator in the representation the

@@ -1,10 +1,13 @@
 //! Felsenstein pruning over site patterns with branch-site classes.
 //!
-//! This module holds the *per-unit* pruning kernel: one site class over one
-//! contiguous block of site patterns, with caller-owned scratch so the hot
-//! path is allocation-free. The `slim-par` driver in [`crate::par`] fans
-//! these units across worker threads; `prune_one_class` is the full-width
-//! serial wrapper used by the auxiliary models (M0, M1a/M2a, branch model).
+//! This module holds the one pruning kernel, [`prune_block`]: one site
+//! class over one contiguous block of site patterns. It recomputes the
+//! internal nodes a dirty set names and reads every other node's CPV from
+//! a [`UnitCache`], so the same kernel serves a first (all-dirty)
+//! evaluation and a dirty-path update. The evaluator in [`crate::reuse`]
+//! fans these units across worker threads; `prune_one_class` is the
+//! full-width serial wrapper used by the auxiliary models (M0, M1a/M2a,
+//! branch model).
 //!
 //! ## Determinism contract
 //!
@@ -16,11 +19,21 @@
 //! a block `[lo, lo+b)` produces exactly the bits the same patterns get in
 //! a full-width pass — the partition into blocks, and which thread runs
 //! which block, cannot change any per-pattern value.
+//!
+//! ## Reused nodes give the same bits
+//!
+//! A clean node's cached CPV and rescale record are exactly what its last
+//! recompute stored, and a recompute runs the same per-node routine on the
+//! same inputs, so by induction each cached CPV equals the one an
+//! all-dirty pass computes (the caller's dirty set covers every node whose
+//! operators changed and is closed under "parent of"). The block's scale
+//! log is the postorder sum of the per-node records either way.
 
 use crate::engine::EngineConfig;
 use crate::par::PhaseTiming;
 use crate::problem::LikelihoodProblem;
-use slim_expm::{cpv, CpvScratch, CpvStrategy, SymTransition};
+use crate::reuse::{ReuseEvaluator, ReuseHint};
+use slim_expm::{cpv, CpvScratch, CpvStrategy, PtCache, SymTransition};
 use slim_linalg::{LinalgError, Mat};
 use slim_model::{BranchSiteModel, N_SITE_CLASSES};
 
@@ -40,7 +53,7 @@ impl TransOp {
     /// `P·e_c` — the CPV a leaf with observed codon `c` propagates to its
     /// parent (the product against an indicator vector collapses to a
     /// column gather; CodeML special-cases this identically).
-    // check: allow(panic-free-hot-path) c < cols() by caller loop bound; out sized n by PruneWorkspace::ensure
+    // check: allow(panic-free-hot-path) c < cols() by caller loop bound; out sized n by PruneScratch::ensure
     fn column(&self, c: usize, out: &mut [f64]) {
         match self {
             TransOp::Dense(p) => {
@@ -66,25 +79,6 @@ impl TransOp {
             TransOp::Dense(p) => cpv::apply_dense_with(strategy, p, w, out, scratch),
             TransOp::Sym(st) => st.apply_dense_with(w, out, scratch),
         }
-    }
-}
-
-/// Source of per-(node, ω) transition operators for a pruning pass: the
-/// stateless engine hands the kernel a per-evaluation table, the reuse
-/// engine a cross-evaluation [`slim_expm::PtCache`] view. Both must hold
-/// an operator for every ω the scheduled classes select on every branch.
-pub(crate) trait OpSource: Sync {
-    /// The operator for the edge above `node` under ω index `w`.
-    fn op(&self, node: usize, w: usize) -> &TransOp;
-}
-
-impl OpSource for [[Option<TransOp>; N_OMEGA]] {
-    // check: allow(panic-free-hot-path) the expm phase builds an operator for every ω a class selects before pruning starts
-    fn op(&self, node: usize, w: usize) -> &TransOp {
-        self[node][w]
-            .as_ref()
-            // check: allow(rob-unwrap) the expm phase builds an operator for every ω a class selects before pruning starts
-            .expect("operator built for needed omega")
     }
 }
 
@@ -118,8 +112,9 @@ pub fn log_likelihood(
 /// Evaluate the branch-site likelihood, returning per-class detail.
 ///
 /// `branch_lengths` is indexed like [`LikelihoodProblem::branch_index`].
-/// Runs on [`EngineConfig::threads`] workers; results are bit-identical
-/// for every thread count (see the module docs).
+/// Runs a one-shot [`ReuseEvaluator`] (every CPV computed, nothing kept)
+/// on [`EngineConfig::threads`] workers; results are bit-identical for
+/// every thread count (see the module docs).
 ///
 /// # Errors
 /// Propagates eigensolver failures.
@@ -132,7 +127,12 @@ pub fn site_class_log_likelihoods(
     model: &BranchSiteModel,
     branch_lengths: &[f64],
 ) -> Result<LikelihoodValue, LinalgError> {
-    crate::par::evaluate(problem, config, model, branch_lengths, None)
+    ReuseEvaluator::one_shot(problem, config.clone()).evaluate(
+        model,
+        branch_lengths,
+        &ReuseHint::Full,
+        None,
+    )
 }
 
 /// Like [`site_class_log_likelihoods`], additionally accumulating
@@ -149,332 +149,79 @@ pub fn site_class_log_likelihoods_timed(
     branch_lengths: &[f64],
     timing: &mut PhaseTiming,
 ) -> Result<LikelihoodValue, LinalgError> {
-    crate::par::evaluate(problem, config, model, branch_lengths, Some(timing))
+    ReuseEvaluator::one_shot(problem, config.clone()).evaluate(
+        model,
+        branch_lengths,
+        &ReuseHint::Full,
+        Some(timing),
+    )
 }
 
-/// Reusable buffers for pruning passes. One per worker thread: after the
-/// first block at a given (states × block-width) shape, subsequent blocks
-/// allocate nothing.
-pub(crate) struct PruneWorkspace {
-    /// Per-node CPV slots, `take`n by the parent as it consumes children.
-    slots: Vec<Option<Mat>>,
-    /// Retired CPV matrices awaiting reuse (all at `dims`).
-    pool: Vec<Mat>,
-    /// Staging block for non-first children.
-    tmp: Mat,
-    /// One gathered leaf column.
-    col: Vec<f64>,
-    /// Accumulated log of rescale factors, per block column.
-    scale_log: Vec<f64>,
-    /// Column/result scratch for the CPV kernels.
-    scratch: CpvScratch,
-    /// (states, block width) the pooled matrices currently have.
-    dims: (usize, usize),
+/// The operator of the edge above `node` under ω slot `w`.
+// check: allow(panic-free-hot-path) the expm phase builds an operator for every ω a class selects before pruning starts
+fn op(ops: &PtCache<TransOp>, node: usize, w: usize) -> &TransOp {
+    ops.value(node * N_OMEGA + w)
+        // check: allow(rob-unwrap) the expm phase builds an operator for every ω a class selects before pruning starts
+        .expect("operator built for needed omega")
 }
 
-impl PruneWorkspace {
-    /// Empty workspace; buffers are created on first use.
-    pub(crate) fn new() -> PruneWorkspace {
-        PruneWorkspace {
-            slots: Vec::new(),
-            pool: Vec::new(),
-            tmp: Mat::zeros(0, 0),
-            col: Vec::new(),
-            scale_log: Vec::new(),
-            scratch: CpvScratch::new(),
-            dims: (0, 0),
-        }
-    }
-
-    /// Size every buffer for a block of `bw` patterns over `n` states in a
-    /// tree of `n_nodes` nodes. No-op when already sized.
-    fn ensure(&mut self, n_nodes: usize, n: usize, bw: usize) {
-        if self.dims != (n, bw) {
-            self.pool.clear();
-            // Lane-padded blocks (61 → 64 columns): the CPV kernels and the
-            // elementwise combine run tail-free, and the pad columns stay
-            // zero so whole-storage ops cannot leak them into results.
-            self.tmp = Mat::zeros_padded(n, bw);
-            self.dims = (n, bw);
-        }
-        if self.slots.len() < n_nodes {
-            self.slots.resize_with(n_nodes, || None);
-        }
-        if self.col.len() != n {
-            self.col = vec![0.0; n];
-        }
-        self.scale_log.clear();
-        self.scale_log.resize(bw, 0.0);
-    }
-
-    /// A CPV matrix at the current dims, recycled when possible.
-    fn grab(&mut self) -> Mat {
-        self.pool
-            .pop()
-            .unwrap_or_else(|| Mat::zeros_padded(self.dims.0, self.dims.1))
-    }
+/// One pruning unit's inputs: one site class (its background and
+/// foreground ω slots) over the pattern block starting at `lo`, with the
+/// operators of `ops` (slot `node * N_OMEGA + ω`).
+#[derive(Clone, Copy)]
+pub(crate) struct ClassBlock<'a> {
+    pub(crate) problem: &'a LikelihoodProblem,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) ops: &'a PtCache<TransOp>,
+    pub(crate) bg: usize,
+    pub(crate) fg: usize,
+    pub(crate) lo: usize,
 }
 
-/// Pruning pass for one site class over the pattern block
-/// `[lo, lo + out.len())`, writing per-pattern log-likelihoods into `out`.
+/// CPV storage for (site class × pattern block) units: the post-rescale
+/// CPV of every internal node, plus each node's per-column ln-rescale
+/// contribution so the block's total scale log can be rebuilt exactly
+/// after a partial recompute.
 ///
-/// `ops[node][ω]` must hold operators for every ω this class selects on
-/// every branch. Bit-identical to the corresponding slice of a full-width
-/// pass (see module docs), so callers may partition patterns freely.
-// check: hot per-block pruning unit (paper's inner loop)
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; expect() guarded by topological order
-pub(crate) fn prune_block<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    out: &mut [f64],
-    ws: &mut PruneWorkspace,
-) {
-    let n = problem.pi.len();
-    let bw = out.len();
-    let n_nodes = problem.children.len();
-    ws.ensure(n_nodes, n, bw);
-
-    for &node in &problem.postorder {
-        // Leaves contribute through their parent; internal nodes combine
-        // their first child straight into the accumulator (same bits as
-        // computing into staging and copying), later children through
-        // `tmp` with an elementwise multiply.
-        let Some((&first, rest)) = problem.children[node].split_first() else {
-            continue;
-        };
-        let mut cpv = ws.grab();
-        child_block_into(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            first,
-            &mut cpv,
-            &mut ws.col,
-            &mut ws.slots,
-            &mut ws.pool,
-            &mut ws.scratch,
-        );
-        for &child in rest {
-            child_block_into(
-                problem,
-                config,
-                ops,
-                bg_omega,
-                fg_omega,
-                lo,
-                child,
-                &mut ws.tmp,
-                &mut ws.col,
-                &mut ws.slots,
-                &mut ws.pool,
-                &mut ws.scratch,
-            );
-            // Whole-storage elementwise combine (dispatched kernel): `cpv`
-            // and `tmp` share the same padded layout, and pad columns are
-            // 0·0 = 0, so logical values match the per-element loop.
-            slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), cpv.as_mut_slice());
-        }
-
-        // Numerical rescaling per pattern column.
-        for q in 0..bw {
-            let mut m = 0.0f64;
-            for i in 0..n {
-                let v = cpv[(i, q)];
-                if v > m {
-                    m = v;
-                }
-            }
-            if m > 0.0 && m < config.scale_threshold {
-                let inv = 1.0 / m;
-                for i in 0..n {
-                    cpv[(i, q)] *= inv;
-                }
-                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
-                ws.scale_log[q] += m.ln();
-            }
-        }
-        #[cfg(feature = "sanitize")]
-        sanitize_hooks::node_cpv(&cpv, &ws.scale_log, node, bg_omega, fg_omega, lo);
-        ws.slots[node] = Some(cpv);
-    }
-
-    // Root combination with π.
-    // check: allow(rob-unwrap) the root is internal, so the node loop above always fills its slot
-    let root_cpv = ws.slots[problem.root].take().expect("root CPV computed");
-    for (q, o) in out.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for i in 0..n {
-            // check: allow(det-float-accum) 61-term per-pattern dot with π; fixed order is the determinism contract
-            s += problem.pi[i] * root_cpv[(i, q)];
-        }
-        *o = if s > 0.0 {
-            s.ln() + ws.scale_log[q]
-        } else {
-            f64::NEG_INFINITY
-        };
-    }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::root_outputs(out, problem.root, bg_omega, fg_omega, lo);
-    ws.pool.push(root_cpv);
-}
-
-/// Compute one child's contribution to its parent's CPV block into
-/// `dest` (the accumulator for the first child, staging for the rest).
-/// Leaf children gather operator columns per pattern; internal children
-/// consume the CPV their own pruning pass left in `slots`.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) child partials exist before parents by post-order traversal; indices bounded by block width
-fn child_block_into<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    child: usize,
-    dest: &mut Mat,
-    col: &mut [f64],
-    slots: &mut [Option<Mat>],
-    pool: &mut Vec<Mat>,
-    scratch: &mut CpvScratch,
-) {
-    let (n, bw) = (dest.rows(), dest.cols());
-    let w = if problem.is_foreground[child] {
-        fg_omega
-    } else {
-        bg_omega
-    };
-    let op = ops.op(child, w);
-    if let Some(taxon) = problem.leaf_taxon[child] {
-        // Leaf: P·e_c collapses to a column gather per pattern. Missing
-        // data integrates the state out: P·1 = 1 (rows of P sum to one),
-        // so the contribution is a ones column.
-        for q in 0..bw {
-            let codon = problem.patterns.pattern(lo + q)[taxon];
-            if codon == slim_bio::patterns::MISSING {
-                for i in 0..n {
-                    dest[(i, q)] = 1.0;
-                }
-                continue;
-            }
-            op.column(codon, col);
-            for i in 0..n {
-                dest[(i, q)] = col[i];
-            }
-        }
-    } else {
-        // check: allow(rob-unwrap) postorder visits children before their parent, so the child slot is always filled
-        let child_cpv = slots[child].take().expect("child CPV in postorder");
-        op.apply_dense(config.cpv, &child_cpv, dest, scratch);
-        pool.push(child_cpv);
-    }
-}
-
-/// Pruning-phase tripwires (the `sanitize` feature): CPVs and rescale
-/// logs stay finite/non-negative at every internal node, and the root
-/// per-pattern log-likelihoods are never NaN/+∞ — each failure names the
-/// node, the ω classes, and the pattern block it happened in.
-#[cfg(feature = "sanitize")]
-mod sanitize_hooks {
-    use slim_linalg::Mat;
-
-    pub(super) fn node_cpv(
-        cpv: &Mat,
-        scale_log: &[f64],
-        node: usize,
-        bg: usize,
-        fg: usize,
-        lo: usize,
-    ) {
-        let bw = cpv.cols();
-        let ctx = || {
-            format!(
-                "pruning node {node} (ω classes bg={bg} fg={fg}), pattern block [{lo}, {})",
-                lo + bw
-            )
-        };
-        slim_linalg::sanitize::check_finite_nonneg("CPV", cpv.as_slice(), ctx);
-        for (q, &sl) in scale_log.iter().enumerate() {
-            if !sl.is_finite() || sl > 0.0 {
-                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
-                panic!(
-                    "sanitize: scale_log[{q}] = {sl} (want finite, <= 0: rescale factors are \
-                     logs of sub-threshold maxima) in {}",
-                    ctx()
-                );
-            }
-        }
-    }
-
-    pub(super) fn root_outputs(out: &[f64], root: usize, bg: usize, fg: usize, lo: usize) {
-        for (q, &v) in out.iter().enumerate() {
-            slim_linalg::sanitize::check_log_value("per-pattern lnL", v, || {
-                format!(
-                    "root {root} combination (ω classes bg={bg} fg={fg}), pattern {}",
-                    lo + q
-                )
-            });
-        }
-    }
-}
-
-/// Full-width serial pruning pass for one site class: returns per-pattern
-/// log-likelihood. Thin wrapper over [`prune_block`] used by the auxiliary
-/// models (M0, site models, branch model) and by the parallel driver when
-/// running single-threaded.
-// check: hot full-width pruning pass (serial driver)
-pub(crate) fn prune_one_class(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &[[Option<TransOp>; N_OMEGA]],
-    bg_omega: usize,
-    fg_omega: usize,
-) -> Vec<f64> {
-    let mut out = vec![0.0f64; problem.n_patterns()];
-    let mut ws = PruneWorkspace::new();
-    prune_block(
-        problem, config, ops, bg_omega, fg_omega, 0, &mut out, &mut ws,
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Dirty-path reuse: cached variant of the kernel above.
-// ---------------------------------------------------------------------------
-
-/// Cross-evaluation cache for one (site class × pattern block) unit: the
-/// post-rescale CPV of every internal node, plus each node's per-column
-/// ln-rescale contribution so the block's total scale log can be rebuilt
-/// exactly after a partial recompute.
+/// A persistent cache belongs to one unit and keeps every CPV for the
+/// next evaluation. A transient cache serves any number of all-dirty
+/// units in turn: the kernel returns each child CPV to its free list once
+/// the parent has consumed it, so only O(depth) buffers are ever live.
 ///
-/// `0.0` in [`UnitCache::scale`] means "this node did not rescale this
+/// `0.0` in a scale record means "this node did not rescale this
 /// column" — unambiguous because a real contribution is `ln m` with
 /// `m < scale_threshold ≤ 1e-100`, i.e. at most ≈ −230.
 pub(crate) struct UnitCache {
-    /// Post-rescale CPV per node; `None` for leaves and never-computed
-    /// nodes.
+    /// Post-rescale CPV per node; `None` for leaves and nodes without a
+    /// live CPV.
     cpv: Vec<Option<Mat>>,
     /// Per-node per-column ln-rescale contributions (empty for leaves).
     scale: Vec<Vec<f64>>,
+    /// Released CPV matrices at `dims`, awaiting reuse.
+    free: Vec<Mat>,
+    /// Whether consumed CPVs go back to `free` instead of staying cached.
+    transient: bool,
     /// (states, block width) of the cached CPVs.
     dims: (usize, usize),
 }
 
 impl UnitCache {
-    /// An empty cache; buffers appear on first recompute.
+    /// An empty persistent cache; buffers appear on first recompute.
     pub(crate) fn new() -> UnitCache {
         UnitCache {
             cpv: Vec::new(),
             scale: Vec::new(),
+            free: Vec::new(),
+            transient: false,
             dims: (0, 0),
+        }
+    }
+
+    /// An empty transient cache (see the type docs).
+    pub(crate) fn transient() -> UnitCache {
+        UnitCache {
+            transient: true,
+            ..UnitCache::new()
         }
     }
 
@@ -482,6 +229,7 @@ impl UnitCache {
         if self.dims != (n, bw) {
             self.cpv.clear();
             self.scale.clear();
+            self.free.clear();
             self.dims = (n, bw);
         }
         if self.cpv.len() < n_nodes {
@@ -489,12 +237,32 @@ impl UnitCache {
             self.scale.resize_with(n_nodes, Vec::new);
         }
     }
+
+    /// A matrix to compute `node`'s CPV into: its own previous one, else a
+    /// released one, else a new lane-padded block (61 → 64 columns: the CPV
+    /// kernels and the elementwise combine run tail-free, and the pad
+    /// columns stay zero so whole-storage ops cannot leak them into
+    /// results).
+    // check: allow(panic-free-hot-path) node < cpv.len(): ensure sized the slots to the tree
+    fn take(&mut self, node: usize) -> Mat {
+        let (n, bw) = self.dims;
+        self.cpv[node]
+            .take()
+            .or_else(|| self.free.pop())
+            .unwrap_or_else(|| Mat::zeros_padded(n, bw))
+    }
+
+    /// Return `node`'s CPV (if any) to the free list.
+    // check: allow(panic-free-hot-path) node < cpv.len(): ensure sized the slots to the tree
+    fn release(&mut self, node: usize) {
+        if let Some(m) = self.cpv[node].take() {
+            self.free.push(m);
+        }
+    }
 }
 
-/// Per-worker scratch for [`prune_block_cached`] — the subset of
-/// [`PruneWorkspace`] the cached kernel needs (per-node CPV storage lives
-/// in the [`UnitCache`] instead of worker-local slots).
-pub(crate) struct ReuseScratch {
+/// Per-worker scratch for [`prune_block`].
+pub(crate) struct PruneScratch {
     /// Staging block for non-first children.
     tmp: Mat,
     /// One gathered leaf column.
@@ -507,10 +275,10 @@ pub(crate) struct ReuseScratch {
     dims: (usize, usize),
 }
 
-impl ReuseScratch {
+impl PruneScratch {
     /// Empty scratch; buffers are created on first use.
-    pub(crate) fn new() -> ReuseScratch {
-        ReuseScratch {
+    pub(crate) fn new() -> PruneScratch {
+        PruneScratch {
             tmp: Mat::zeros(0, 0),
             col: Vec::new(),
             scale_log: Vec::new(),
@@ -532,42 +300,27 @@ impl ReuseScratch {
     }
 }
 
-/// Cached pruning pass for one site class over the pattern block
-/// `[lo, lo + out.len())`: recomputes only `dirty` internal nodes, reusing
-/// every clean node's CPV and rescale record byte-for-byte from `cache`.
+/// Pruning pass for one site class over the pattern block
+/// `[lo, lo + out.len())`, writing per-pattern log-likelihoods into `out`.
 ///
-/// ## Bit-identity to [`prune_block`]
-///
-/// * A clean node's cached CPV and rescale record are exactly what the
-///   last recompute stored — and recomputes run the same kernel calls on
-///   the same inputs as a fresh pass, so by induction each cached CPV
-///   equals the fresh-pass CPV bit-for-bit (the caller guarantees `dirty`
-///   covers every node whose inputs changed, and that `dirty` is closed
-///   under "parent of").
-/// * The block's scale log is rebuilt by summing the per-node records in
-///   postorder — the same addition sequence the fresh pass performs
-///   (skipping exact-zero records cannot change bits: the accumulator is
-///   never −0.0, and the fresh pass performs no addition at those nodes).
-/// * The root combination is the same per-column dot with π.
-// check: hot dirty-path pruning unit (reuse engine inner loop)
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) same bounds as prune_block; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
-pub(crate) fn prune_block_cached<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
+/// Recomputes the internal nodes marked in `dirty` (closed under "parent
+/// of"; every internal node for a transient cache) and reads every other
+/// node's CPV and rescale record from `cache`. Bit-identical to the
+/// corresponding slice of an all-dirty full-width pass (see module docs),
+/// so callers may partition patterns and reuse nodes freely.
+// check: hot per-block pruning unit (paper's inner loop)
+// check: allow(panic-free-hot-path) pattern/node indices bounded by SitePatterns and tree construction; cache slots for clean nodes filled by the previous recompute, for dirty ones by this pass's postorder
+pub(crate) fn prune_block(
+    unit: ClassBlock,
     dirty: &[bool],
     out: &mut [f64],
     cache: &mut UnitCache,
-    ws: &mut ReuseScratch,
+    ws: &mut PruneScratch,
 ) {
+    let problem = unit.problem;
     let n = problem.pi.len();
     let bw = out.len();
-    let n_nodes = problem.children.len();
-    cache.ensure(n_nodes, n, bw);
+    cache.ensure(problem.children.len(), n, bw);
     ws.ensure(n, bw);
 
     for &node in &problem.postorder {
@@ -581,31 +334,32 @@ pub(crate) fn prune_block_cached<O: OpSource + ?Sized>(
             );
             continue;
         }
-        recompute_node_cpv(
-            problem, config, ops, bg_omega, fg_omega, lo, node, cache, ws,
-        );
+        let mut cpv = cache.take(node);
+        node_cpv(unit, node, &cache.cpv, &mut cpv, &mut cache.scale[node], ws);
+        #[cfg(feature = "sanitize")]
+        sanitize_hooks::node_cpv(&cpv, &cache.scale[node], node, unit);
+        cache.cpv[node] = Some(cpv);
+        if cache.transient {
+            for &child in &problem.children[node] {
+                cache.release(child);
+            }
+        }
     }
 
-    // Rebuild the block's total scale log: postorder sum of the per-node
-    // records — the same per-column addition sequence as a fresh pass.
-    for v in ws.scale_log.iter_mut() {
-        *v = 0.0;
-    }
+    // The block's total scale log: postorder sum of the per-node records
+    // (skipping exact-zero records cannot change bits: the accumulator is
+    // never −0.0).
     for &node in &problem.postorder {
-        if problem.children[node].is_empty() {
-            continue;
-        }
-        let rec = &cache.scale[node];
-        for (sl, &v) in ws.scale_log.iter_mut().zip(rec.iter()) {
+        for (sl, &v) in ws.scale_log.iter_mut().zip(cache.scale[node].iter()) {
             // check: allow(det-float-cmp) 0.0 is the "no rescale" sentinel; real records are ≤ ln(scale_threshold) ≈ −230
             if v != 0.0 {
-                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder — same sequence as prune_block
+                // check: allow(det-float-accum) one rescale term per visited node, fixed postorder
                 *sl += v;
             }
         }
     }
 
-    // Root combination with π — identical arithmetic to `prune_block`.
+    // Root combination with π.
     let root_cpv = cache.cpv[problem.root]
         .as_ref()
         // check: allow(rob-unwrap) the root is internal and either clean (cached) or dirty (just recomputed)
@@ -623,122 +377,88 @@ pub(crate) fn prune_block_cached<O: OpSource + ?Sized>(
         };
     }
     #[cfg(feature = "sanitize")]
-    sanitize_hooks::root_outputs(out, problem.root, bg_omega, fg_omega, lo);
+    sanitize_hooks::root_outputs(out, unit);
+    if cache.transient {
+        cache.release(problem.root);
+    }
 }
 
-/// Recompute one internal node's CPV and rescale record into `cache`,
-/// consuming children from the cache (leaf children gather operator
-/// columns directly). The arithmetic sequence is exactly
-/// [`prune_block`]'s per-node body.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) children precede parents in postorder, so child cache slots are filled; indices bounded as in prune_block
-fn recompute_node_cpv<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
+/// Compute internal `node`'s post-rescale CPV into `dest` and its
+/// per-column ln-rescale record into `rec`. Leaf children gather operator
+/// columns; internal children are read from `cpvs`. The first child is
+/// combined straight into `dest`, later ones through staging with an
+/// elementwise multiply.
+// check: allow(panic-free-hot-path) children precede parents in postorder, so child CPVs are filled; indices bounded by block width
+fn node_cpv(
+    unit: ClassBlock,
     node: usize,
-    cache: &mut UnitCache,
-    ws: &mut ReuseScratch,
+    cpvs: &[Option<Mat>],
+    dest: &mut Mat,
+    rec: &mut Vec<f64>,
+    ws: &mut PruneScratch,
 ) {
-    let n = problem.pi.len();
-    let bw = ws.dims.1;
-    let (&first, rest) = problem.children[node]
+    let (n, bw) = (dest.rows(), dest.cols());
+    let (&first, rest) = unit.problem.children[node]
         .split_first()
-        // check: allow(rob-unwrap) caller dispatches internal nodes only
+        // check: allow(rob-unwrap) callers pass internal nodes only
         .expect("internal node has children");
-    // Take the node's matrix out so the children's cached CPVs can be read
-    // immutably while we write into it.
-    let mut cpv = cache.cpv[node]
-        .take()
-        .unwrap_or_else(|| Mat::zeros_padded(n, bw));
-    child_block_cached(
-        problem,
-        config,
-        ops,
-        bg_omega,
-        fg_omega,
-        lo,
-        first,
-        &mut cpv,
-        &mut ws.col,
-        &cache.cpv,
-        &mut ws.scratch,
-    );
+    child_block(unit, first, dest, &mut ws.col, cpvs, &mut ws.scratch);
     for &child in rest {
-        child_block_cached(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            child,
-            &mut ws.tmp,
-            &mut ws.col,
-            &cache.cpv,
-            &mut ws.scratch,
-        );
-        // Same whole-storage combine as prune_block: pads are 0·0 = 0.
-        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), cpv.as_mut_slice());
+        child_block(unit, child, &mut ws.tmp, &mut ws.col, cpvs, &mut ws.scratch);
+        // Whole-storage elementwise combine (dispatched kernel): `dest`
+        // and `tmp` share the same padded layout, and pad columns are
+        // 0·0 = 0, so logical values match the per-element loop.
+        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), dest.as_mut_slice());
     }
 
     // Numerical rescaling per pattern column, recording this node's
-    // contribution instead of accumulating into a running total.
-    let rec = &mut cache.scale[node];
+    // contribution.
     rec.clear();
     rec.resize(bw, 0.0);
     for q in 0..bw {
         let mut m = 0.0f64;
         for i in 0..n {
-            let v = cpv[(i, q)];
+            let v = dest[(i, q)];
             if v > m {
                 m = v;
             }
         }
-        if m > 0.0 && m < config.scale_threshold {
+        if m > 0.0 && m < unit.config.scale_threshold {
             let inv = 1.0 / m;
             for i in 0..n {
-                cpv[(i, q)] *= inv;
+                dest[(i, q)] *= inv;
             }
             rec[q] = m.ln();
         }
     }
-    #[cfg(feature = "sanitize")]
-    sanitize_hooks::node_cpv(&cpv, rec, node, bg_omega, fg_omega, lo);
-    cache.cpv[node] = Some(cpv);
 }
 
-/// [`child_block_into`] against cached child CPVs: identical arithmetic,
-/// but internal children are *read* from the unit cache instead of being
-/// consumed from worker-local slots.
-#[allow(clippy::too_many_arguments)]
-// check: allow(panic-free-hot-path) postorder recomputes dirty children before their parent and clean children are cached; indices bounded by block width
-fn child_block_cached<O: OpSource + ?Sized>(
-    problem: &LikelihoodProblem,
-    config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
+/// Compute one child's contribution to its parent's CPV block into
+/// `dest`. Leaf children gather operator columns per pattern; internal
+/// children apply the operator to their CPV in `cpvs`.
+// check: allow(panic-free-hot-path) child CPVs exist before parents by postorder; indices bounded by block width
+fn child_block(
+    unit: ClassBlock,
     child: usize,
     dest: &mut Mat,
     col: &mut [f64],
     cpvs: &[Option<Mat>],
     scratch: &mut CpvScratch,
 ) {
+    let problem = unit.problem;
     let (n, bw) = (dest.rows(), dest.cols());
     let w = if problem.is_foreground[child] {
-        fg_omega
+        unit.fg
     } else {
-        bg_omega
+        unit.bg
     };
-    let op = ops.op(child, w);
+    let op = op(unit.ops, child, w);
     if let Some(taxon) = problem.leaf_taxon[child] {
+        // Leaf: P·e_c collapses to a column gather per pattern. Missing
+        // data integrates the state out: P·1 = 1 (rows of P sum to one),
+        // so the contribution is a ones column.
         for q in 0..bw {
-            let codon = problem.patterns.pattern(lo + q)[taxon];
+            let codon = problem.patterns.pattern(unit.lo + q)[taxon];
             if codon == slim_bio::patterns::MISSING {
                 for i in 0..n {
                     dest[(i, q)] = 1.0;
@@ -755,87 +475,102 @@ fn child_block_cached<O: OpSource + ?Sized>(
             .as_ref()
             // check: allow(rob-unwrap) child CPV cached (clean) or recomputed earlier in postorder (dirty)
             .expect("child CPV cached or recomputed in postorder");
-        op.apply_dense(config.cpv, child_cpv, dest, scratch);
+        op.apply_dense(unit.config.cpv, child_cpv, dest, scratch);
     }
 }
 
-/// Sanitize tripwire: recompute one *clean* node's CPV and rescale record
-/// from its (cached) children and panic on any bit mismatch with the
-/// cached copy — catching invalidation bugs the moment a stale value
-/// would be served.
+/// Pruning-phase tripwires (the `sanitize` feature): CPVs and rescale
+/// records stay finite/non-negative at every internal node, and the root
+/// per-pattern log-likelihoods are never NaN/+∞ — each failure names the
+/// node, the ω classes, and the pattern block it happened in.
 #[cfg(feature = "sanitize")]
-pub(crate) fn sanitize_recheck_node<O: OpSource + ?Sized>(
+mod sanitize_hooks {
+    use super::ClassBlock;
+    use slim_linalg::Mat;
+
+    pub(super) fn node_cpv(cpv: &Mat, scale_log: &[f64], node: usize, unit: ClassBlock) {
+        let ClassBlock { bg, fg, lo, .. } = unit;
+        let bw = cpv.cols();
+        let ctx = || {
+            format!(
+                "pruning node {node} (ω classes bg={bg} fg={fg}), pattern block [{lo}, {})",
+                lo + bw
+            )
+        };
+        slim_linalg::sanitize::check_finite_nonneg("CPV", cpv.as_slice(), ctx);
+        for (q, &sl) in scale_log.iter().enumerate() {
+            if !sl.is_finite() || sl > 0.0 {
+                // check: allow(rob-unwrap) sanitize tripwire: a detected invariant violation must abort
+                panic!(
+                    "sanitize: scale_log[{q}] = {sl} (want finite, <= 0: rescale factors are \
+                     logs of sub-threshold maxima) in {}",
+                    ctx()
+                );
+            }
+        }
+    }
+
+    pub(super) fn root_outputs(out: &[f64], unit: ClassBlock) {
+        let ClassBlock { bg, fg, lo, .. } = unit;
+        let root = unit.problem.root;
+        for (q, &v) in out.iter().enumerate() {
+            slim_linalg::sanitize::check_log_value("per-pattern lnL", v, || {
+                format!(
+                    "root {root} combination (ω classes bg={bg} fg={fg}), pattern {}",
+                    lo + q
+                )
+            });
+        }
+    }
+}
+
+/// Full-width serial pruning pass for one site class: returns per-pattern
+/// log-likelihood. Runs [`prune_block`] all-dirty over one block with a
+/// transient cache; used by the auxiliary models (M0, site models, branch
+/// model).
+// check: hot full-width pruning pass (serial driver)
+pub(crate) fn prune_one_class(
     problem: &LikelihoodProblem,
     config: &EngineConfig,
-    ops: &O,
-    bg_omega: usize,
-    fg_omega: usize,
-    lo: usize,
-    node: usize,
-    cache: &UnitCache,
-    ws: &mut ReuseScratch,
-) {
-    let n = problem.pi.len();
-    let bw = cache.dims.1;
-    ws.ensure(n, bw);
-    let (&first, rest) = problem.children[node]
-        .split_first()
-        // check: allow(rob-unwrap) sanitize spot-check targets only cached internal nodes
-        .expect("recheck target is internal");
-    let mut fresh = Mat::zeros_padded(n, bw);
-    child_block_cached(
+    ops: &PtCache<TransOp>,
+    bg: usize,
+    fg: usize,
+) -> Vec<f64> {
+    let mut out = vec![0.0f64; problem.n_patterns()];
+    let unit = ClassBlock {
         problem,
         config,
         ops,
-        bg_omega,
-        fg_omega,
-        lo,
-        first,
-        &mut fresh,
-        &mut ws.col,
-        &cache.cpv,
-        &mut ws.scratch,
-    );
-    for &child in rest {
-        child_block_cached(
-            problem,
-            config,
-            ops,
-            bg_omega,
-            fg_omega,
-            lo,
-            child,
-            &mut ws.tmp,
-            &mut ws.col,
-            &cache.cpv,
-            &mut ws.scratch,
-        );
-        slim_linalg::vecops::hadamard_in_place(ws.tmp.as_slice(), fresh.as_mut_slice());
-    }
-    let mut fresh_rec = vec![0.0f64; bw];
-    for q in 0..bw {
-        let mut m = 0.0f64;
-        for i in 0..n {
-            let v = fresh[(i, q)];
-            if v > m {
-                m = v;
-            }
-        }
-        if m > 0.0 && m < config.scale_threshold {
-            let inv = 1.0 / m;
-            for i in 0..n {
-                fresh[(i, q)] *= inv;
-            }
-            fresh_rec[q] = m.ln();
-        }
-    }
+        bg,
+        fg,
+        lo: 0,
+    };
+    let dirty = vec![true; problem.children.len()];
+    let mut cache = UnitCache::transient();
+    prune_block(unit, &dirty, &mut out, &mut cache, &mut PruneScratch::new());
+    out
+}
+
+/// Sanitize tripwire: recompute one *clean* node's CPV and rescale record
+/// from its (cached) children through the kernel's per-node routine and
+/// panic on any bit mismatch with the cached copy — catching invalidation
+/// bugs the moment a stale value would be served.
+#[cfg(feature = "sanitize")]
+pub(crate) fn sanitize_recheck_node(unit: ClassBlock, node: usize, cache: &UnitCache) {
+    let (n, bw) = cache.dims;
+    let mut ws = PruneScratch::new();
+    ws.ensure(n, bw);
+    let mut fresh = Mat::zeros_padded(n, bw);
+    let mut fresh_rec = Vec::new();
+    node_cpv(unit, node, &cache.cpv, &mut fresh, &mut fresh_rec, &mut ws);
     let cached = cache.cpv[node]
         .as_ref()
         // check: allow(rob-unwrap) sanitize spot-check picks its target from filled cache slots
         .expect("recheck target has a cached CPV");
+    let ClassBlock { bg, fg, lo, .. } = unit;
     let ctx = || {
         format!(
-            "reuse spot-check at node {node} (ω classes bg={bg_omega} fg={fg_omega}), \
+            "reuse spot-check at node {node} (ω classes bg={bg} fg={fg}), \
              pattern block [{lo}, {})",
             lo + bw
         )

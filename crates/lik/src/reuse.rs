@@ -1,12 +1,26 @@
-//! Dirty-path partial-likelihood reuse across optimizer evaluations.
+//! The likelihood evaluator, and its dirty-path reuse across optimizer
+//! evaluations.
+//!
+//! Every branch-site evaluation runs through [`ReuseEvaluator`]: the four
+//! phases of [`crate::par`] (eigen, expm, pruning, reduction) with one
+//! pruning kernel, [`crate::pruning::prune_block`]. Who owns the CPVs
+//! decides what a call can reuse:
+//!
+//! * a **persistent** evaluator ([`ReuseEvaluator::new`], one per fit)
+//!   keeps one unit cache per (site class × pattern block) unit and the
+//!   previous evaluation's decompositions and operators;
+//! * a **one-shot** evaluation ([`crate::site_class_log_likelihoods`],
+//!   [`crate::log_likelihood`]) computes everything once and keeps
+//!   nothing: each pruning worker owns one transient unit cache, reused
+//!   across its units, that holds only O(depth) CPVs at a time. One-shot
+//!   calls count in `lik.evaluations` and `lik.pruning.units` but not in
+//!   `lik.reuse.*`.
 //!
 //! A derivative-based fit evaluates the likelihood hundreds of times, and
 //! most evaluations change *one* parameter (a finite-difference probe) or
-//! a handful (a line-search step along a sparse direction). The stateless
-//! engine in [`crate::par`] recomputes every transition operator and every
-//! conditional probability vector (CPV) each time; this module keeps the
-//! previous evaluation's intermediates and recomputes only what the
-//! parameter delta actually touches:
+//! a handful (a line-search step along a sparse direction). A persistent
+//! evaluator keeps the previous evaluation's intermediates and recomputes
+//! only what the parameter delta actually touches:
 //!
 //! * an **eigendecomposition** is kept per ω slot while that slot's
 //!   (κ, ω) bits are unchanged — the rate matrices are unscaled, and the
@@ -38,9 +52,8 @@
 //!
 //! Every cached object is keyed on the exact bits of its inputs
 //! ((κ, ω) for decompositions, [`PtKey`] for operators, the operators
-//! below a node for CPVs), and
-//! recomputation runs the byte-same kernels on the byte-same inputs as the
-//! stateless engine (see [`crate::pruning::prune_block_cached`] for the
+//! below a node for CPVs), and a recompute runs the same kernel on the
+//! same inputs as a one-shot evaluation (see [`crate::pruning`] for the
 //! per-unit argument, including the rescale bookkeeping). The final
 //! reduction is the same serial fixed-order compensated sum. So reuse-on
 //! and reuse-off agree to the last bit — which the identity test layer
@@ -52,7 +65,7 @@ use crate::par::{
 };
 use crate::problem::LikelihoodProblem;
 use crate::pruning::{
-    prune_block_cached, LikelihoodValue, OpSource, ReuseScratch, TransOp, UnitCache, N_OMEGA,
+    prune_block, ClassBlock, LikelihoodValue, PruneScratch, TransOp, UnitCache, N_OMEGA,
 };
 use slim_expm::{EigenSystem, PtCache, PtKey};
 use slim_linalg::{simd, LinalgError};
@@ -98,21 +111,6 @@ struct EvalState {
     value: LikelihoodValue,
 }
 
-/// Operator view the cached pruning kernel reads: every (node, ω) a unit
-/// touches was probed or rebuilt in this evaluation's expm phase.
-struct CachedOps<'a>(&'a PtCache<TransOp>);
-
-impl OpSource for CachedOps<'_> {
-    // check: hot reuse-engine operator fetch behind the unified kernel interface
-    // check: allow(panic-free-hot-path) the expm phase probes/rebuilds every slot a unit can address before pruning starts
-    fn op(&self, node: usize, w: usize) -> &TransOp {
-        self.0
-            .value(node * N_OMEGA + w)
-            // check: allow(rob-unwrap) the expm phase probes or rebuilds every slot a unit can address before pruning starts
-            .expect("operator probed or rebuilt in the expm phase")
-    }
-}
-
 /// A stateful likelihood evaluator that reuses the previous evaluation's
 /// operators and CPVs along clean paths. One per fit (per hypothesis);
 /// owns its caches, no sharing, no locking.
@@ -121,6 +119,9 @@ pub struct ReuseEvaluator<'p> {
     config: EngineConfig,
     /// Number of internal (non-leaf) nodes — the per-unit CPV count.
     n_internal: usize,
+    /// Whether evaluations keep their intermediates for the next call
+    /// (`false` for a one-shot evaluation; see the module docs).
+    persistent: bool,
     state: Option<EvalState>,
     #[cfg(feature = "sanitize")]
     rng_state: u64,
@@ -139,9 +140,22 @@ impl<'p> ReuseEvaluator<'p> {
             problem,
             config,
             n_internal,
+            persistent: true,
             state: None,
             #[cfg(feature = "sanitize")]
             rng_state: 0x9e3779b97f4a7c15,
+        }
+    }
+
+    /// An evaluator for one stateless evaluation: every CPV is computed
+    /// through per-worker transient caches and nothing is kept.
+    pub(crate) fn one_shot(
+        problem: &'p LikelihoodProblem,
+        config: EngineConfig,
+    ) -> ReuseEvaluator<'p> {
+        ReuseEvaluator {
+            persistent: false,
+            ..ReuseEvaluator::new(problem, config)
         }
     }
 
@@ -178,6 +192,7 @@ impl<'p> ReuseEvaluator<'p> {
     ) -> Result<LikelihoodValue, LinalgError> {
         let problem = self.problem;
         let config = self.config.clone();
+        let persistent = self.persistent;
         assert_eq!(
             branch_lengths.len(),
             problem.n_branches(),
@@ -189,7 +204,9 @@ impl<'p> ReuseEvaluator<'p> {
         let simd_mode = config.simd;
         let obs = crate::obsm::metrics();
         obs.evaluations.inc();
-        obs.reuse_evaluations.inc();
+        if persistent {
+            obs.reuse_evaluations.inc();
+        }
         obs.threads.set(threads as f64);
         obs.simd_lanes.set(simd::resolve(simd_mode).lanes() as f64);
         let mut eval_span = slim_trace::span("lik.evaluate", "lik");
@@ -279,7 +296,11 @@ impl<'p> ReuseEvaluator<'p> {
         };
 
         // --- Phase 1: eigendecompositions — only the ω slots whose
-        // (κ, ω) bits moved are decomposed again. ---
+        // (κ, ω) bits moved are decomposed again. The matrices are
+        // unscaled: all classes share one rate scale (the background
+        // mixture average, so ω2 > 1 genuinely accelerates foreground
+        // evolution — see BranchSiteModel::shared_scale), folded into each
+        // operator's time instead. ---
         // check: allow(det-wallclock) feeds the obs phase-timing histogram only
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.eigen", "lik");
@@ -332,14 +353,15 @@ impl<'p> ReuseEvaluator<'p> {
                 lo += bw;
             }
         }
-        // Fresh unit caches (first call, released above, or a geometry
-        // change such as a proportion hitting exactly 0) hold nothing to
-        // reuse. Otherwise a (class, node) CPV is recomputed iff an
-        // operator that class applies below the node was rebuilt: child
+        // Fresh unit caches (one-shot, first call, released above, or a
+        // geometry change such as a proportion hitting exactly 0) hold
+        // nothing to reuse. Otherwise a (class, node) CPV is recomputed iff
+        // an operator that class applies below the node was rebuilt: child
         // u contributes its foreground or background ω slot, and dirt
-        // propagates up in postorder.
-        let fresh = units.len() != unit_shape.len() || prev_shape != unit_shape;
-        if fresh {
+        // propagates up in postorder. A one-shot call keeps no caches: its
+        // workers bring their own.
+        let fresh = !persistent || units.len() != unit_shape.len() || prev_shape != unit_shape;
+        if fresh && persistent {
             units = unit_shape.iter().map(|_| UnitCache::new()).collect();
         }
         let dirty: Vec<Vec<bool>> = classes
@@ -369,28 +391,34 @@ impl<'p> ReuseEvaluator<'p> {
         // check: allow(det-float-accum) usize unit count, not a float reduction
         let recomputed: usize = unit_shape.iter().map(|&(ci, _, _)| n_dirty[ci]).sum();
         let reused = n_units * self.n_internal - recomputed;
-        if reused == 0 {
-            obs.reuse_full_invalidations.inc();
-        }
-        obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
         obs.units.add(n_units as u64);
-        obs.reuse_units_recomputed.add(recomputed as u64);
-        obs.reuse_units_reused.add(reused as u64);
-        if reused > 0 {
-            slim_trace::instant_with("lik.reuse.hit", "lik", || {
-                vec![("cpv_blocks", slim_trace::Value::U64(reused as u64))]
-            });
-        }
-        if recomputed > 0 {
-            slim_trace::instant_with("lik.reuse.miss", "lik", || {
-                vec![
-                    ("cpv_blocks", slim_trace::Value::U64(recomputed as u64)),
-                    ("full", slim_trace::Value::U64((reused == 0) as u64)),
-                ]
-            });
+        if persistent {
+            if reused == 0 {
+                obs.reuse_full_invalidations.inc();
+            }
+            obs.reuse_dirty_branches.add(dirty_branches.len() as u64);
+            obs.reuse_units_recomputed.add(recomputed as u64);
+            obs.reuse_units_reused.add(reused as u64);
+            if reused > 0 {
+                slim_trace::instant_with("lik.reuse.hit", "lik", || {
+                    vec![("cpv_blocks", slim_trace::Value::U64(reused as u64))]
+                });
+            }
+            if recomputed > 0 {
+                slim_trace::instant_with("lik.reuse.miss", "lik", || {
+                    vec![
+                        ("cpv_blocks", slim_trace::Value::U64(recomputed as u64)),
+                        ("full", slim_trace::Value::U64((reused == 0) as u64)),
+                    ]
+                });
+            }
         }
 
-        // --- Phase 3: dirty-path pruning over cached units. ---
+        // --- Phase 3: pruning over (site class × pattern block) units. ---
+        // Block boundaries are fixed by config.pattern_block alone; which
+        // worker computes which block cannot affect any value (see
+        // crate::pruning), so the channel's nondeterministic scheduling is
+        // harmless.
         // check: allow(det-wallclock) feeds the obs phase-timing histogram only
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.pruning", "lik");
@@ -405,18 +433,19 @@ impl<'p> ReuseEvaluator<'p> {
             })
             .collect();
         // Carve the per-class buffers into per-unit output slices in
-        // `unit_shape` order, pairing each with its cache.
-        struct RUnit<'a> {
+        // `unit_shape` order, pairing each with its persistent cache (none
+        // for a one-shot call: the worker's transient cache serves it).
+        struct Unit<'a> {
             bg: usize,
             fg: usize,
             lo: usize,
             dirty: &'a [bool],
             out: &'a mut [f64],
-            cache: &'a mut UnitCache,
+            cache: Option<&'a mut UnitCache>,
         }
-        let mut runits: Vec<RUnit> = Vec::with_capacity(n_units);
+        let mut work: Vec<Unit> = Vec::with_capacity(n_units);
         {
-            let mut cache_iter = units.iter_mut();
+            let mut caches = units.iter_mut();
             let mut chunkers: Vec<Option<std::slice::ChunksMut<f64>>> = per_class
                 .iter_mut()
                 .zip(classes.iter())
@@ -428,51 +457,57 @@ impl<'p> ReuseEvaluator<'p> {
                     .and_then(|c| c.next())
                     // check: allow(rob-unwrap) unit_shape was derived from the same class/block walk that drives the chunkers
                     .expect("unit_shape matches class chunking");
-                // check: allow(rob-unwrap) units was sized to unit_shape above
-                let cache = cache_iter.next().expect("one cache per unit");
-                runits.push(RUnit {
+                work.push(Unit {
                     bg: classes[ci].background_omega,
                     fg: classes[ci].foreground_omega,
                     lo,
                     dirty: &dirty[ci],
                     out: chunk,
-                    cache,
+                    cache: caches.next(),
                 });
             }
         }
-        let view = CachedOps(&ops);
-        let prune_threads = threads.min(runits.len()).max(1);
+        let class_block = |unit: &Unit| ClassBlock {
+            problem,
+            config: &config,
+            ops: &ops,
+            bg: unit.bg,
+            fg: unit.fg,
+            lo: unit.lo,
+        };
+        let prune_threads = threads.min(work.len()).max(1);
         // Per-worker busy time is only clocked while collection is on, so
         // the disabled path takes no Instant reads per unit.
         let obs_on = slim_obs::enabled();
         if prune_threads >= 2 {
-            let (tx, rx) = crossbeam::channel::unbounded::<RUnit>();
-            for unit in runits {
+            let (tx, rx) = crossbeam::channel::unbounded::<Unit>();
+            for unit in work {
                 // Unbounded channel with both endpoints alive: send cannot fail.
                 let _ = tx.send(unit);
             }
             drop(tx);
-            let view = &view;
-            let config_ref = &config;
+            let class_block = &class_block;
             crossbeam::thread::scope(|scope| {
                 for _ in 0..prune_threads {
                     let rx = rx.clone();
                     scope.spawn(move |_| {
                         simd::with_forced(simd_mode, || {
                             let worker_span = slim_trace::span("lik.worker", "lik");
-                            let mut ws = ReuseScratch::new();
+                            let mut own = UnitCache::transient();
+                            let mut ws = PruneScratch::new();
                             let mut busy = Duration::ZERO;
                             while let Ok(unit) = rx.recv() {
                                 // check: allow(det-wallclock) feeds the obs worker-busy gauge only
                                 let t0 = obs_on.then(Instant::now);
+                                // Per-unit block span: which (class ω-pair ×
+                                // pattern block) this worker ran, and when.
                                 let mut block_span = slim_trace::span("lik.block", "lik");
                                 block_span.arg_u64("bg", unit.bg as u64);
                                 block_span.arg_u64("fg", unit.fg as u64);
                                 block_span.arg_u64("lo", unit.lo as u64);
-                                prune_block_cached(
-                                    problem, config_ref, view, unit.bg, unit.fg, unit.lo,
-                                    unit.dirty, unit.out, unit.cache, &mut ws,
-                                );
+                                let cb = class_block(&unit);
+                                let cache = unit.cache.unwrap_or(&mut own);
+                                prune_block(cb, unit.dirty, unit.out, cache, &mut ws);
                                 drop(block_span);
                                 if let Some(t0) = t0 {
                                     // check: allow(det-float-accum) Duration worker-busy accumulation, not an f64 reduction
@@ -492,14 +527,14 @@ impl<'p> ReuseEvaluator<'p> {
             // check: allow(rob-unwrap) scope join fails only if a worker panicked; propagate the abort
             .expect("pruning scope");
         } else {
-            let mut ws = ReuseScratch::new();
+            let mut own = UnitCache::transient();
+            let mut ws = PruneScratch::new();
             // check: allow(det-wallclock) feeds the obs worker-busy gauge only
             let t0 = obs_on.then(Instant::now);
-            for unit in runits {
-                prune_block_cached(
-                    problem, &config, &view, unit.bg, unit.fg, unit.lo, unit.dirty, unit.out,
-                    unit.cache, &mut ws,
-                );
+            for unit in work {
+                let cb = class_block(&unit);
+                let cache = unit.cache.unwrap_or(&mut own);
+                prune_block(cb, unit.dirty, unit.out, cache, &mut ws);
             }
             if let Some(t0) = t0 {
                 obs.worker_busy.observe(t0.elapsed());
@@ -527,18 +562,15 @@ impl<'p> ReuseEvaluator<'p> {
                 .filter(|&v| !problem.children[v].is_empty() && !dirty[ci][v])
                 .collect();
             let node = clean[next() % clean.len()];
-            let mut ws = ReuseScratch::new();
-            crate::pruning::sanitize_recheck_node(
+            let unit = ClassBlock {
                 problem,
-                &config,
-                &view,
-                classes[ci].background_omega,
-                classes[ci].foreground_omega,
+                config: &config,
+                ops: &ops,
+                bg: classes[ci].background_omega,
+                fg: classes[ci].foreground_omega,
                 lo,
-                node,
-                &units[ui],
-                &mut ws,
-            );
+            };
+            crate::pruning::sanitize_recheck_node(unit, node, &units[ui]);
         }
         drop(phase_span);
         let elapsed = start.elapsed();
@@ -548,7 +580,10 @@ impl<'p> ReuseEvaluator<'p> {
             t.pruning += elapsed;
         }
 
-        // --- Phase 4: the shared serial fixed-order reduction. ---
+        // --- Phase 4: mix classes per pattern (log-sum-exp), then the
+        // weighted total — serial, fixed pattern order, compensated. This
+        // is the only order-sensitive reduction in the evaluation, which is
+        // what makes the whole pipeline thread-count invariant. ---
         // check: allow(det-wallclock) feeds the obs phase-timing histogram only
         let start = Instant::now();
         let phase_span = slim_trace::span("lik.reduction", "lik");
@@ -573,16 +608,18 @@ impl<'p> ReuseEvaluator<'p> {
             per_class,
             proportions: props,
         };
-        self.state = Some(EvalState {
-            model: *model,
-            branch_lengths: branch_lengths.to_vec(),
-            scale,
-            eigensystems,
-            ops,
-            unit_shape,
-            units,
-            value: value.clone(),
-        });
+        if persistent {
+            self.state = Some(EvalState {
+                model: *model,
+                branch_lengths: branch_lengths.to_vec(),
+                scale,
+                eigensystems,
+                ops,
+                unit_shape,
+                units,
+                value: value.clone(),
+            });
+        }
         Ok(value)
     }
 }

@@ -2,13 +2,12 @@
 //! branches) — the §V-B "further models" extension, sharing the expm and
 //! pruning machinery with the branch-site engine.
 
-use crate::engine::{EngineConfig, ExpmPath};
+use crate::engine::EngineConfig;
+use crate::par::{aux_ops, decompose};
 use crate::problem::LikelihoodProblem;
-use crate::pruning::{prune_one_class, TransOp};
-use slim_expm::{CpvStrategy, EigenSystem};
+use crate::pruning::prune_one_class;
 use slim_linalg::LinalgError;
-use slim_model::{build_rate_matrix, rate_components, ScalePolicy, SiteModel, SitesHypothesis};
-use std::sync::Arc;
+use slim_model::{rate_components, ScalePolicy, SiteModel, SitesHypothesis};
 
 /// Result of one site-model likelihood evaluation.
 #[derive(Debug, Clone)]
@@ -37,64 +36,32 @@ pub fn site_model_log_likelihood(
     hypothesis: SitesHypothesis,
     branch_lengths: &[f64],
 ) -> Result<SitesLikelihoodValue, LinalgError> {
-    assert_eq!(
-        branch_lengths.len(),
-        problem.n_branches(),
-        "branch length vector has wrong length"
-    );
     let n_pat = problem.n_patterns();
     let classes = model.classes(hypothesis);
 
     // One shared rate scale across all classes (all branches see every
-    // class — see SiteModel::shared_scale).
+    // class — see SiteModel::shared_scale), one eigendecomposition per
+    // class ω, and class k's operators in ω slot k.
     let (syn_flux, nonsyn_flux) = rate_components(&problem.code, model.kappa, &problem.pi);
-    let scale = model.shared_scale(hypothesis, syn_flux, nonsyn_flux);
-
-    // One eigendecomposition per class ω.
-    let mut eigensystems: Vec<Arc<EigenSystem>> = Vec::with_capacity(classes.len());
-    for class in &classes {
-        let rm = build_rate_matrix(
-            &problem.code,
-            model.kappa,
-            class.omega,
-            &problem.pi,
-            ScalePolicy::External(scale),
-        );
-        let es = match &config.eigen_cache {
-            Some(cache) => cache.get_or_compute(model.kappa, class.omega, &rm, config.eigen)?,
-            None => Arc::new(EigenSystem::from_rate_matrix(&rm, config.eigen)?),
-        };
-        eigensystems.push(es);
-    }
-
-    // Per class: build per-branch operators at slot 0 and prune.
-    // (The pruning kernel indexes [node][omega-slot]; site models use one
-    // slot since foreground == background.)
-    let n_nodes = problem.children.len();
-    let mut per_class: Vec<Vec<f64>> = Vec::with_capacity(classes.len());
-    for (k, class) in classes.iter().enumerate() {
-        if class.proportion <= 0.0 {
-            per_class.push(vec![f64::NEG_INFINITY; n_pat]);
-            continue;
-        }
-        let es = &eigensystems[k];
-        let mut ops: Vec<[Option<TransOp>; 3]> = (0..n_nodes).map(|_| [None, None, None]).collect();
-        for (node, slot) in ops.iter_mut().enumerate() {
-            let Some(bi) = problem.branch_index[node] else {
-                continue;
-            };
-            let t = branch_lengths[bi];
-            slot[0] = Some(match config.cpv {
-                CpvStrategy::SymmetricSymv => TransOp::Sym(es.symmetric_transition(t)),
-                _ => TransOp::Dense(match config.expm {
-                    ExpmPath::Eq9Naive => es.transition_matrix_eq9_naive(t),
-                    ExpmPath::Eq9Tuned => es.transition_matrix_eq9(t),
-                    ExpmPath::Eq10Syrk => es.transition_matrix_eq10(t),
-                }),
-            });
-        }
-        per_class.push(prune_one_class(problem, config, &ops, 0, 0));
-    }
+    let policy = ScalePolicy::External(model.shared_scale(hypothesis, syn_flux, nonsyn_flux));
+    let systems = classes
+        .iter()
+        .map(|class| decompose(problem, config, model.kappa, class.omega, policy))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ops = aux_ops(problem, config, &systems, branch_lengths, |_| {
+        0..classes.len()
+    });
+    let per_class: Vec<Vec<f64>> = classes
+        .iter()
+        .enumerate()
+        .map(|(k, class)| {
+            if class.proportion <= 0.0 {
+                vec![f64::NEG_INFINITY; n_pat]
+            } else {
+                prune_one_class(problem, config, &ops, k, k)
+            }
+        })
+        .collect();
 
     // Mix per pattern (log-sum-exp), weight by multiplicity.
     let mut lnl = 0.0f64;

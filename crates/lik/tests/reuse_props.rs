@@ -5,7 +5,7 @@
 //! *any* sequence of parameter updates — the optimizer-shaped mix of
 //! single-coordinate finite-difference probes, multi-branch line-search
 //! moves, global model steps, and exact repeats — every evaluation
-//! returns the same log-likelihood **bits** as a fresh stateless
+//! returns the same log-likelihood **bits** as a fresh one-shot
 //! evaluation of the same point, regardless of how much of the previous
 //! evaluation it reused. Proptest drives that promise over random
 //! sequences on every Table II dataset analog, at 1 and 4 threads, with
@@ -168,7 +168,7 @@ fn apply(step: &Step, model: &mut BranchSiteModel, bl: &mut [f64]) -> ReuseHint 
 }
 
 /// Run a random update sequence through the reuse evaluator and a fresh
-/// stateless evaluation per step, asserting bit identity throughout.
+/// one-shot evaluation per step, asserting bit identity throughout.
 fn check_sequence(
     id: DatasetId,
     config: &EngineConfig,
@@ -276,7 +276,8 @@ proptest! {
 /// Every Table II analog, both thread counts, both SIMD modes, on one
 /// fixed optimizer-shaped sequence — the coverage matrix the random test
 /// samples from, run deterministically so the big analogs (ii, iv) are
-/// exercised exactly once per mode.
+/// exercised exactly once per mode — plus the CodeML-style, Slim+ and
+/// Eq. 12 presets on the small analogs.
 #[test]
 fn reuse_is_bit_identical_on_every_dataset_shape() {
     let steps = [
@@ -316,6 +317,22 @@ fn reuse_is_bit_identical_on_every_dataset_shape() {
                 let config = EngineConfig::slim().with_threads(threads).with_simd(simd);
                 check_sequence(id, &config, &steps)
                     .unwrap_or_else(|e| panic!("{} threads={threads} {simd:?}: {e}", id.label()));
+            }
+        }
+    }
+    // Every preset runs the same kernel; the other CPV strategies and
+    // reconstruction paths on the small analogs.
+    for id in PROPTEST_IDS {
+        for preset in [
+            EngineConfig::codeml_style(),
+            EngineConfig::slim_plus(),
+            EngineConfig::slim_symmetric(),
+        ] {
+            for threads in [1usize, 4] {
+                let config = preset.clone().with_threads(threads);
+                check_sequence(id, &config, &steps).unwrap_or_else(|e| {
+                    panic!("{} {} threads={threads}: {e}", id.label(), config.label)
+                });
             }
         }
     }

@@ -58,11 +58,14 @@ pub fn class_posteriors(per_class_lnl: &[Vec<f64>], proportions: &[f64]) -> Vec<
 /// Posterior probability that each pattern belongs to the
 /// positively-selected classes (2a + 2b, indices 2 and 3 in the Table I
 /// ordering).
+///
+/// The sum is clamped to 1: when classes 0 and 1 are negligible, the two
+/// rounded terms can add up to one ulp above it.
 pub fn positive_selection_posteriors(per_class_lnl: &[Vec<f64>], proportions: &[f64]) -> Vec<f64> {
     assert!(per_class_lnl.len() >= 4, "branch-site model has 4 classes");
     class_posteriors(per_class_lnl, proportions)
         .into_iter()
-        .map(|row| row[2] + row[3])
+        .map(|row| (row[2] + row[3]).min(1.0))
         .collect()
 }
 
@@ -115,6 +118,26 @@ mod tests {
         let per_class = vec![vec![-10.0], vec![-10.0], vec![-10.0], vec![-10.0]];
         let ps = positive_selection_posteriors(&per_class, &[0.25, 0.25, 0.25, 0.25]);
         assert!((ps[0] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn positive_selection_posterior_never_exceeds_one() {
+        // Classes 0 and 1 are negligible here, and the rounded 2a and 2b
+        // posteriors alone sum to 1.0000000000000002.
+        let per_class = vec![
+            vec![-841.5044301889393],
+            vec![-860.7047449894833],
+            vec![-15.070721793838864],
+            vec![-25.828945544668624],
+        ];
+        let props = [
+            0.06574606775605439,
+            0.2885133233570967,
+            0.5635740769989804,
+            0.0821665318878684,
+        ];
+        let ps = positive_selection_posteriors(&per_class, &props);
+        assert!(ps[0] <= 1.0, "posterior {:e} above 1", ps[0]);
     }
 
     #[test]
